@@ -11,14 +11,9 @@ from .classes import (
     progression_product_contains,
 )
 from .core_arith import (
-    CrtSystem,
     ExtGcd,
-    Factorization,
-    crt_solve,
     ext_gcd,
-    factorize,
     is_prime,
-    ord_p,
     solve_linear3,
     sylvester_nonneg,
 )
@@ -72,13 +67,8 @@ __all__ = [
     "progression_product_contains",
     "dilate",
     "ExtGcd",
-    "Factorization",
-    "CrtSystem",
     "ext_gcd",
     "is_prime",
-    "ord_p",
-    "factorize",
-    "crt_solve",
     "solve_linear3",
     "sylvester_nonneg",
     "Instance",

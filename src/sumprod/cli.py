@@ -10,6 +10,7 @@ diagnostics only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
@@ -44,33 +45,11 @@ def _witness_dict(w: Witness) -> dict:
 
 
 def _trace_dict(t: WitnessTrace) -> dict:
+    # Keys follow the dataclass, so --trace --json cannot drift from it.
+    obj = {f.name: getattr(t, f.name) for f in dataclasses.fields(t)}
     i = t.instance
-    return {
-        "instance": [i.a, i.b, i.c, i.d, i.m, i.N],
-        "m_prime": t.m_prime,
-        "k": t.k,
-        "x": t.x,
-        "y": t.y,
-        "z": t.z,
-        "x_prime": t.x_prime,
-        "y_prime": t.y_prime,
-        "q_x": t.q_x,
-        "q_y": t.q_y,
-        "a0": t.a0,
-        "c0": t.c0,
-        "p1": list(t.p1),
-        "p2": list(t.p2),
-        "u": t.u,
-        "a1": t.a1,
-        "c1": t.c1,
-        "p3": list(t.p3),
-        "v": t.v,
-        "a_prime": t.a_prime,
-        "c_prime": t.c_prime,
-        "ell": t.ell,
-        "r": t.r,
-        "s": t.s,
-    }
+    obj["instance"] = [i.a, i.b, i.c, i.d, i.m, i.N]
+    return obj
 
 
 def _emit(args, obj: dict, human: str) -> None:
@@ -92,10 +71,8 @@ def _trace_lines(t: WitnessTrace) -> list[str]:
         f"x={t.x} y={t.y} z={t.z}",
         f"x'={t.x_prime} y'={t.y_prime} q_x={t.q_x} q_y={t.q_y}",
         f"a0={t.a0} c0={t.c0}",
-        f"P1={','.join(map(str, t.p1))} P2={','.join(map(str, t.p2))} u={t.u}",
-        f"a1={t.a1} c1={t.c1}",
-        f"P3={','.join(map(str, t.p3))} v={t.v}",
-        f"a'={t.a_prime} c'={t.c_prime}",
+        f"u={t.u} a1={t.a1} c1={t.c1}",
+        f"v={t.v} a'={t.a_prime} c'={t.c_prime}",
         f"ell={t.ell} r={t.r} s={t.s}",
     ]
 

@@ -1,5 +1,5 @@
-"""Exact integer primitives: extended gcd, p-adic valuations, factoring,
-Chinese remaindering, and the small linear Diophantine solvers the witness
+"""Exact integer primitives: extended gcd, a bounded deterministic
+primality test, and the small linear Diophantine solvers the witness
 pipeline is built on.
 
 Everything operates on plain Python ints (arbitrary precision), is fully
@@ -10,25 +10,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional
 
 __all__ = [
     "ExtGcd",
-    "Factorization",
-    "CrtSystem",
     "ext_gcd",
     "is_prime",
-    "ord_p",
-    "factorize",
-    "crt_solve",
     "solve_linear3",
     "sylvester_nonneg",
 ]
 
-_TRIAL_LIMIT = 10_000
-
-# Deterministic Miller-Rabin witness set; valid for all n < 3.3 * 10**24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first 13 prime bases is exact below psi_13, the
+# smallest strong pseudoprime to all of them.  The first 12 bases alone are
+# fooled by psi_12 = 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 @dataclass(frozen=True)
@@ -40,39 +36,10 @@ class ExtGcd:
     t: int
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization of |n| as ((p, e), ...) with p strictly increasing."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def value(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= p**e
-        return out
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
-
-
-@dataclass
-class CrtSystem:
-    """Simultaneous congruences x ≡ r (mod m); moduli need not be coprime."""
-
-    congruences: list[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        self.congruences = [(int(r), int(m)) for r, m in self.congruences]
-        for _, m in self.congruences:
-            if m < 1:
-                raise ValueError(f"modulus must be >= 1, got {m}")
-
-
 def ext_gcd(x: int, y: int) -> ExtGcd:
     """Return (g, s, t) with s*x + t*y = g = gcd(x, y) >= 0.
 
-    ext_gcd(0, 0) = (0, 0, 0) by convention, which keeps the CRT merge total.
+    ext_gcd(0, 0) = (0, 0, 0) by convention, which keeps solve_linear3 total.
     """
     if x == 0 and y == 0:
         return ExtGcd(0, 0, 0)
@@ -90,9 +57,14 @@ def ext_gcd(x: int, y: int) -> ExtGcd:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for every n this package can factor)."""
+    """Deterministic Miller-Rabin, exact for every n < 3317044064679887385961981.
+
+    Larger n raise ValueError rather than get an unproven answer.
+    """
     if n < 2:
         return False
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"is_prime is proven only below {_MR_EXACT_BELOW}")
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
@@ -114,134 +86,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _vp(p: int, n: int) -> int:
-    # Unchecked valuation loop for internal callers that already know p is
-    # prime and n != 0.
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k
-
-
-def ord_p(p: int, n: int) -> int:
-    """Largest k with p**k dividing n.
-
-    Rejects n = 0 (the valuation would be infinite) and non-prime p.
-    """
-    if n == 0:
-        raise ValueError("ord_p is undefined for n = 0")
-    if not is_prime(p):
-        raise ValueError(f"ord_p requires a prime, got {p}")
-    return _vp(p, abs(n))
-
-
-def _brent_rho(n: int, c: int) -> int:
-    # Brent's cycle variant of Pollard rho with fixed polynomial x^2 + c.
-    # Returns a (not necessarily prime) divisor of n, possibly n itself.
-    y, r, q = 2, 1, 1
-    g, x, ys = 1, 2, 2
-    m = 128
-    while g == 1:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(m, r - k)):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            g = math.gcd(q, n)
-            k += m
-        r *= 2
-    if g == n:
-        g = 1
-        while g == 1:
-            ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
-    return g
-
-
-def _split(n: int) -> int:
-    # Proper divisor of an odd composite n with no factor <= _TRIAL_LIMIT.
-    # The parameter sweep keeps the whole factorization deterministic.
-    for c in range(1, 1000):
-        g = _brent_rho(n, c)
-        if 1 < g < n:
-            return g
-    raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
-
-
-def factorize(n: int) -> Factorization:
-    """Factor |n| into primes. |n| = 1 yields the empty product; n = 0 is an error.
-
-    Trial division up to 10**4, then deterministic Miller-Rabin plus Brent's
-    rho for whatever cofactor survives; comfortable to around 2**64.
-    """
-    if n == 0:
-        raise ValueError("cannot factor 0")
-    n = abs(n)
-    counts: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            n //= p
-    p = 7
-    # 2/4-step wheel skipping multiples of 2 and 3.
-    steps = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while p <= _TRIAL_LIMIT and p * p <= n:
-        while n % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            n //= p
-        p += steps[i]
-        i = (i + 1) % 8
-    if n > 1:
-        if p * p > n:
-            counts[n] = counts.get(n, 0) + 1
-        else:
-            stack = [n]
-            while stack:
-                v = stack.pop()
-                if is_prime(v):
-                    counts[v] = counts.get(v, 0) + 1
-                else:
-                    d = _split(v)
-                    stack.append(d)
-                    stack.append(v // d)
-    return Factorization(tuple(sorted(counts.items())))
-
-
-def crt_solve(
-    system: Union[CrtSystem, Iterable[tuple[int, int]]],
-) -> Optional[tuple[int, int]]:
-    """Solve simultaneous congruences x ≡ r (mod m) with arbitrary moduli.
-
-    Returns (x0, L) with L = lcm of the moduli and 0 <= x0 < L, so the full
-    solution set is {x0 + t*L}. Returns None when the system is incompatible.
-    An empty system is the trivial one: (0, 1).
-    """
-    congs: Sequence[tuple[int, int]]
-    if isinstance(system, CrtSystem):
-        congs = system.congruences
-    else:
-        congs = list(system)
-    x0, lcm = 0, 1
-    for r, m in congs:
-        if m < 1:
-            raise ValueError(f"modulus must be >= 1, got {m}")
-        e = ext_gcd(lcm, m)
-        if (r - x0) % e.g != 0:
-            return None
-        m_red = m // e.g
-        t = ((r - x0) // e.g) * e.s % m_red
-        x0 = x0 + lcm * t
-        lcm *= m_red
-        x0 %= lcm
-    return x0, lcm
-
-
 def solve_linear3(b: int, d: int, mp: int, k: int) -> Optional[tuple[int, int, int]]:
     """One integer solution of b*x + d*y + mp*z = k, or None when gcd ∤ k.
 
@@ -259,6 +103,20 @@ def solve_linear3(b: int, d: int, mp: int, k: int) -> Optional[tuple[int, int, i
     return (e1.s * e2.s * q, e1.t * e2.s * q, e2.t * q)
 
 
+def _least_r_lift(a: int, c: int, mp: int, ell: int) -> tuple[int, int]:
+    """The solution of a*r + c*s = ell*mp, where gcd(a, c) = mp > 0, with the
+    least r >= 0, so 0 <= r < |c|/mp.  For c = 0 the solution has s = 0.
+    """
+    big_a, big_c = a // mp, c // mp
+    e = ext_gcd(big_a, big_c)  # e.g == 1
+    r0, s0 = e.s * ell, e.t * ell
+    if big_c == 0:
+        return r0, s0
+    # General solution (r0 + big_c*t, s0 - big_a*t); reduce r into [0, |big_c|).
+    r = r0 % abs(big_c)
+    return r, s0 - big_a * ((r - r0) // big_c)
+
+
 def sylvester_nonneg(
     a: int, c: int, mp: int, ell: int
 ) -> Optional[tuple[int, int]]:
@@ -272,14 +130,6 @@ def sylvester_nonneg(
         raise ValueError("a, c, mp must be positive")
     if math.gcd(a, c) != mp:
         raise ValueError(f"gcd({a}, {c}) != {mp}")
-    if ell < 0:
-        return None
-    big_a, big_c = a // mp, c // mp
-    e = ext_gcd(big_a, big_c)  # e.g == 1
-    r0, s0 = e.s * ell, e.t * ell
-    # General solution r0 + big_c*t, s0 - big_a*t; squeeze t so both are >= 0.
-    t_min = -(r0 // big_c)
-    t_max = s0 // big_a
-    if t_min > t_max:
-        return None
-    return (r0 + big_c * t_min, s0 - big_a * t_min)
+    # s falls as r grows, so the least r >= 0 leaves the largest s.
+    r, s = _least_r_lift(a, c, mp, ell)
+    return (r, s) if s >= 0 else None

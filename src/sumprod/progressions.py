@@ -57,7 +57,11 @@ class ProgressionResult:
 
 
 def threshold_N0(a: int, b: int, c: int, d: int, m: int) -> ThresholdReport:
-    """Exact integer evaluation of the representability threshold."""
+    """Exact integer evaluation of the representability threshold.
+
+    Valid for the pipeline's smallest u, v shifts: they never exceed the CRT
+    shifts the box a' <= a_hi, c' <= c_hi is derived from.
+    """
     if min(a, b, c, d, m) < 1:
         raise ValueError("all parameters must be positive")
     mm = m * m
@@ -78,7 +82,8 @@ def solve_progression(inst: Instance) -> ProgressionResult:
     """One-sided witness for N in P_m(ab+cd): all four components end up in
     their progressions (a' >= a, b' >= b, c' >= c, d' >= d).
 
-    Guaranteed for N >= N0.  For smaller members the lift is attempted
+    Guaranteed for N >= N0, since the smallest u, v shifts keep (a', c')
+    inside the threshold's box.  For smaller members the lift is attempted
     anyway; when no one-sided lift exists for the constructed (a', c'), the
     outcome is labelled below-threshold-failure rather than not-member.
     """

@@ -3,11 +3,12 @@ to its template modulo m.
 
 The pipeline follows the underlying existence proof step by step and records
 every intermediate in a WitnessTrace: solve b*x + d*y + m'*z = k, reduce x, y
-into fixed windows, shift (a0, c0) by a CRT-chosen multiple of m so the gcd
-drops to m', clean the remaining prime interference out of c1, and finish
-with a Bezout (or Sylvester, for one-sided growth) lift of (b, d).  Every
-trace field has an invariant that is a theorem; a violation is a bug, never
-an input condition, and raises InternalInvariantError.
+into fixed windows, shift (a0, c0) by the smallest multiple of m that leaves
+gcd(a1, c1) with m'-part exactly m', shift c1 by the smallest multiple of
+m*m' that clears the remaining prime interference, and finish with a
+size-reduced Bezout lift of (b, d).  Every trace field has an invariant that
+is a theorem; a violation is a bug, never an input condition, and raises
+InternalInvariantError.
 """
 
 from __future__ import annotations
@@ -16,14 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core_arith import (
-    crt_solve,
-    ext_gcd,
-    factorize,
-    solve_linear3,
-    sylvester_nonneg,
-    _vp,
-)
+from .core_arith import _least_r_lift, solve_linear3
 
 __all__ = [
     "Instance",
@@ -114,12 +108,9 @@ class WitnessTrace:
     q_y: int
     a0: int
     c0: int
-    p1: tuple[int, ...]
-    p2: tuple[int, ...]
     u: int
     a1: int
     c1: int
-    p3: tuple[int, ...]
     v: int
     a_prime: int
     c_prime: int
@@ -157,8 +148,6 @@ def validate_trace(trace: WitnessTrace) -> None:
     a, b, c, d, m, n_target = i.a, i.b, i.c, i.d, i.m, i.N
     mp = t.m_prime
     mm = m * m
-    prod_p = math.prod(t.p1 + t.p2)
-    prod_p3 = math.prod(t.p3)
     checks = {
         "m_prime": mp == math.gcd(a, c, m),
         "k": n_target == a * b + c * d + t.k * m,
@@ -169,10 +158,11 @@ def validate_trace(trace: WitnessTrace) -> None:
         "eq_B_y": t.y == t.q_y * mp + t.y_prime,
         "a0": t.a0 == a + m * t.x_prime,
         "c0": t.c0 == c + m * t.y_prime,
-        "u_window": 0 <= t.u < prod_p <= mp <= m if prod_p > 1 else t.u == 0,
+        "u_window": 0 <= t.u < mp,
         "a1": t.a1 == t.a0 + d * m * t.u,
         "c1": t.c1 == t.c0 - b * m * t.u,
-        "v_window": 0 <= t.v <= prod_p3 <= t.a1,
+        "u_gcd": math.gcd(math.gcd(t.a1, t.c1) // mp, mp) == 1,
+        "v_window": 0 <= t.v <= t.a1,
         "a_prime": t.a_prime == t.a1,
         "c_prime": t.c_prime == t.c1 + m * mp * t.v,
         "gcd_final": math.gcd(t.a_prime, t.c_prime) == mp,
@@ -182,6 +172,7 @@ def validate_trace(trace: WitnessTrace) -> None:
         "ineq2_c": c <= t.c_prime <= c + (a + b + 1) * mm + (d + 1) * mm * mm,
         "ell": t.ell * (m * mp) == n_target - (t.a_prime * b + t.c_prime * d),
         "lift": t.a_prime * t.r + t.c_prime * t.s == t.ell * mp,
+        "r_window": 0 <= t.r < t.c_prime // mp,
     }
     failed = [name for name, ok in checks.items() if not ok]
     if failed:
@@ -202,10 +193,11 @@ def lemma_lift(
     """Lift (b, d) to (b', d') with b' ≡ b, d' ≡ d (mod m) and a'b' + c'd' = N.
 
     Requires N ≡ a'b + c'd (mod m*m') where m' = gcd(a', c'); violating that
-    is a caller error.  With require_nonneg_growth the lift additionally
-    satisfies b' >= b and d' >= d; this is guaranteed whenever
-    N >= a'b + c'd + m(a' - m')(c' - m') and is best-effort (exact) below,
-    returning None when no one-sided lift exists.
+    is a caller error.  The lift is b' = b + m*r, d' = d + m*s with the least
+    r >= 0, so 0 <= r < |c'|/m' when c' != 0.  With require_nonneg_growth
+    (positive a', c' only) it additionally needs d' >= d and returns None
+    otherwise: that is exactly when no lift with b' >= b, d' >= d exists, and
+    it cannot happen once N >= a'b + c'd + m(a' - m')(c' - m').
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
@@ -215,17 +207,11 @@ def lemma_lift(
     rem = N - (a_p * b + c_p * d)
     if rem % (m * m_p) != 0:
         raise ValueError("N !≡ a'b + c'd (mod m*m')")
-    ell = rem // (m * m_p)
-    if require_nonneg_growth:
-        if a_p < 1 or c_p < 1:
-            raise ValueError("one-sided growth requires positive a', c'")
-        rs = sylvester_nonneg(a_p, c_p, m_p, ell)
-        if rs is None:
-            return None
-        r, s = rs
-    else:
-        e = ext_gcd(a_p, c_p)
-        r, s = e.s * ell, e.t * ell
+    if require_nonneg_growth and (a_p < 1 or c_p < 1):
+        raise ValueError("one-sided growth requires positive a', c'")
+    r, s = _least_r_lift(a_p, c_p, m_p, rem // (m * m_p))
+    if require_nonneg_growth and s < 0:
+        return None
     return b + m * r, d + m * s
 
 
@@ -250,33 +236,27 @@ def _solve_core(
     a0 = a + m * x_p
     c0 = c + m * y_p
 
-    g0 = math.gcd(a0, c0)
-    primes_mp = factorize(m_p).primes() if m_p > 1 else ()
-    p1, p2 = [], []
-    for p in primes_mp:
-        if _vp(p, m_p) < _vp(p, g0):
-            p1.append(p)
-        else:
-            p2.append(p)
-    crt_u = crt_solve([(1, p) for p in p1] + [(0, p) for p in p2])
-    if crt_u is None:  # distinct prime moduli: always solvable
-        raise InternalInvariantError(f"u-system unsolvable for primes {primes_mp}")
-    u = crt_u[0]
+    # u-step: the smallest u leaving gcd(a1, c1) with m'-part exactly m'.  The
+    # proof's CRT choice (u ≡ 0 or 1 mod each prime of m') is below rad(m'),
+    # so the search stops below m'.
+    for u in range(m_p):
+        a1 = a0 + d * m * u
+        c1 = c0 - b * m * u
+        if math.gcd(math.gcd(a1, c1) // m_p, m_p) == 1:
+            break
+    else:
+        raise InternalInvariantError(f"no u-shift below m'={m_p} for {a0}, {c0}")
 
-    a1 = a0 + d * m * u
-    c1 = c0 - b * m * u
-    p3 = tuple(p for p in factorize(a1).primes() if m % p != 0)
-    mmp = m * m_p
-    congs = []
-    for p in p3:
-        inv = pow(mmp, -1, p)
-        congs.append(((1 - c1) * inv % p, p))
-    crt_v = crt_solve(congs)
-    if crt_v is None:
-        raise InternalInvariantError(f"v-system unsolvable for primes {p3}")
-    v = crt_v[0]
+    # v-step: the smallest v with gcd(a1, c1 + m*m'*v) = m'.  The proof's CRT
+    # choice (c' ≡ 1 mod each prime of a1 outside m) is below the product of
+    # those primes, so the search stops by v = a1.
     a_p = a1
-    c_p = c1 + mmp * v
+    for v in range(a1 + 1):
+        c_p = c1 + m * m_p * v
+        if math.gcd(a_p, c_p) == m_p:
+            break
+    else:
+        raise InternalInvariantError(f"no v-shift up to a1={a1} for c1={c1}")
 
     lift = lemma_lift(a_p, c_p, b, d, m, N, require_nonneg_growth)
     if lift is None:
@@ -296,12 +276,9 @@ def _solve_core(
         q_y=q_y,
         a0=a0,
         c0=c0,
-        p1=tuple(p1),
-        p2=tuple(p2),
         u=u,
         a1=a1,
         c1=c1,
-        p3=p3,
         v=v,
         a_prime=a_p,
         c_prime=c_p,

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from sumprod import InternalInvariantError
+from sumprod import InternalInvariantError, WitnessTrace
 from sumprod.cli import run
 
 
@@ -70,13 +71,12 @@ def test_witness_trace_fields(capsys):
     )
     assert code == 0
     obj = json.loads(out)
-    trace = obj["trace"]
-    for key in (
-        "m_prime", "k", "x", "y", "z", "x_prime", "y_prime", "q_x", "q_y",
-        "a0", "c0", "p1", "p2", "u", "a1", "c1", "p3", "v",
+    assert list(obj["trace"]) == [
+        "instance", "m_prime", "k", "x", "y", "z", "x_prime", "y_prime",
+        "q_x", "q_y", "a0", "c0", "u", "a1", "c1", "v",
         "a_prime", "c_prime", "ell", "r", "s",
-    ):
-        assert key in trace
+    ]
+    assert list(obj["trace"]) == [f.name for f in dataclasses.fields(WitnessTrace)]
 
 
 def test_json_flag_position(capsys):

@@ -4,13 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumprod import (
-    CrtSystem,
     ExtGcd,
-    crt_solve,
     ext_gcd,
-    factorize,
     is_prime,
-    ord_p,
     solve_linear3,
     sylvester_nonneg,
 )
@@ -39,33 +35,7 @@ def test_ext_gcd_identity(x, y):
         assert x % e.g == 0 and y % e.g == 0
 
 
-# ---------------------------------------------------------------- ord_p
-
-def test_ord_p_examples():
-    assert ord_p(2, 40) == 3
-    assert ord_p(5, 40) == 1
-    assert ord_p(7, 40) == 0
-
-
-def test_ord_p_rejections():
-    with pytest.raises(ValueError):
-        ord_p(2, 0)
-    with pytest.raises(ValueError):
-        ord_p(6, 12)
-
-
-# ---------------------------------------------------------------- factorize
-
-def test_factorize_examples():
-    assert factorize(60).pairs == ((2, 2), (3, 1), (5, 1))
-    assert factorize(1).pairs == ()
-    # 97: trial division to isqrt(97) = 9 finds no divisor, so prime
-    assert all(97 % q for q in range(2, 10))
-    assert factorize(97).pairs == ((97, 1),)
-    assert factorize(-60).pairs == factorize(60).pairs
-    with pytest.raises(ValueError):
-        factorize(0)
-
+# ---------------------------------------------------------------- is_prime
 
 def _sieve(limit):
     flags = bytearray([1]) * (limit + 1)
@@ -76,75 +46,31 @@ def _sieve(limit):
     return flags
 
 
-def test_factorize_reconstructs_up_to_1e5():
-    limit = 10**5
-    flags = _sieve(limit)
-    for n in range(2, limit + 1):
-        f = factorize(n)
-        assert f.value() == n
-        assert all(flags[p] for p in f.primes())
-        ps = f.primes()
-        assert list(ps) == sorted(set(ps))
-
-
 def test_is_prime_matches_sieve():
     flags = _sieve(10**4)
     for n in range(10**4 + 1):
         assert is_prime(n) == bool(flags[n])
 
 
-def test_factorize_large_semiprime():
+def test_is_prime_large_semiprime():
     p, q = 1_000_003, 1_000_033
-    f = factorize(p * q)
-    assert f.pairs == ((p, 1), (q, 1))
+    assert is_prime(p) and is_prime(q)
+    assert not is_prime(p * q)
 
 
-# ---------------------------------------------------------------- crt_solve
-
-def _crt_scan(congs):
-    # Exhaustive oracle over one full period.
-    lcm = math.lcm(*(m for _, m in congs)) if congs else 1
-    hits = [x for x in range(lcm) if all((x - r) % m == 0 for r, m in congs)]
-    return (hits[0], lcm) if hits else None
+def test_is_prime_strong_pseudoprime_psi12():
+    # psi_12 passes Miller-Rabin for every prime base up to 37.
+    assert not is_prime(318665857834031151167461)
+    assert 399165290221 * 798330580441 == 318665857834031151167461
 
 
-def test_crt_examples():
-    assert crt_solve([(1, 3), (0, 5)]) == (10, 15) == _crt_scan([(1, 3), (0, 5)])
-    assert crt_solve([(0, 2), (1, 2)]) is None
-    assert crt_solve([(4, 1)]) == (0, 1)
-    assert crt_solve(CrtSystem([(1, 3), (0, 5)])) == (10, 15)
-
-
-def test_crt_empty_is_trivial():
-    assert crt_solve([]) == (0, 1)
-
-
-def test_crt_exhaustive_small_pairs():
-    for m1 in range(1, 7):
-        for m2 in range(1, 7):
-            for r1 in range(m1):
-                for r2 in range(m2):
-                    congs = [(r1, m1), (r2, m2)]
-                    assert crt_solve(congs) == _crt_scan(congs)
-
-
-@DET
-@given(
-    st.lists(
-        st.tuples(st.integers(-40, 40), st.integers(1, 30)),
-        min_size=1,
-        max_size=3,
-    )
-)
-def test_crt_matches_scan(congs):
-    assert crt_solve(congs) == _crt_scan([(r % m, m) for r, m in congs])
-
-
-def test_crt_rejects_bad_modulus():
+def test_is_prime_refuses_beyond_proven_bound():
+    psi13 = 3317044064679887385961981
+    assert is_prime(2**80 - 65)  # the largest prime below 2**80 < psi13
     with pytest.raises(ValueError):
-        crt_solve([(0, 0)])
+        is_prime(psi13)
     with pytest.raises(ValueError):
-        CrtSystem([(1, -3)])
+        is_prime(2**127 - 1)
 
 
 # ---------------------------------------------------------------- solve_linear3

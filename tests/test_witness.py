@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -13,6 +14,7 @@ from sumprod import (
     solve_class,
     solve_dilated,
     subgroup_witness,
+    sylvester_nonneg,
     validate_trace,
     verify_witness,
 )
@@ -39,6 +41,36 @@ def test_lemma_lift_precondition_gate():
     # N !≡ a'b + c'd (mod m*m') with m' = gcd(2, 4) = 2
     with pytest.raises(ValueError):
         lemma_lift(2, 4, 1, 1, 3, 2 + 4 + 1)
+
+
+def test_lemma_lift_integer_domain():
+    # c' = 0 (nothing to reduce modulo) and negative a', c' still lift
+    for a_p, c_p in ((3, 0), (0, 4), (-3, 5), (3, -5), (-4, -6), (6, -4)):
+        m_p = math.gcd(a_p, c_p)
+        for m, b, d in ((1, 0, 0), (3, 1, 2), (5, 4, 1)):
+            for ell in (-7, 0, 5):
+                n_target = a_p * b + c_p * d + ell * m * m_p
+                b_p, d_p = lemma_lift(a_p, c_p, b, d, m, n_target)
+                assert a_p * b_p + c_p * d_p == n_target
+                assert (b_p - b) % m == 0 and (d_p - d) % m == 0
+                if c_p:
+                    assert 0 <= (b_p - b) // m < abs(c_p) // m_p
+    with pytest.raises(ValueError):
+        lemma_lift(-3, 5, 1, 1, 2, -3 + 5, require_nonneg_growth=True)
+
+
+def test_lemma_lift_one_sided_matches_sylvester():
+    for a_p, c_p in itertools.product(range(1, 10), repeat=2):
+        m_p = math.gcd(a_p, c_p)
+        for m, b, d in ((1, 1, 1), (2, 1, 3), (3, 2, 1)):
+            for ell in range(-3, (a_p // m_p) * (c_p // m_p) + 2):
+                n_target = a_p * b + c_p * d + ell * m * m_p
+                got = lemma_lift(a_p, c_p, b, d, m, n_target, True)
+                rs = sylvester_nonneg(a_p, c_p, m_p, ell)
+                if rs is None:
+                    assert got is None
+                else:
+                    assert got == (b + m * rs[0], d + m * rs[1])
 
 
 def test_lemma_lift_guaranteed_above_inequality():
@@ -126,12 +158,31 @@ def test_oracle_agreement_small_grid():
                 assert got_fast == (solve_class(inst) is not None)
 
 
+def _violations(trace, **tampered):
+    try:
+        validate_trace(dataclasses.replace(trace, **tampered))
+    except InternalInvariantError as e:
+        return str(e)
+    return ""
+
+
 def test_trace_invariants_reported_on_tampering():
-    inst = Instance(3, 5, 2, 2, 19, 152)
-    _, trace = solve_class(inst)
-    trace.u += 1
-    with pytest.raises(InternalInvariantError):
-        validate_trace(trace)
+    _, trace = solve_class(Instance(3, 5, 2, 2, 19, 152))
+    assert "'a1'" in _violations(trace, u=trace.u + 1)
+    assert "'u_window'" in _violations(trace, u=-1)
+    assert "'v_window'" in _violations(trace, v=trace.a1 + 1)
+    assert "'v_window'" in _violations(trace, v=-1)
+    # another Bezout solution: the lift still holds, only the size bound breaks
+    big_a, big_c = trace.a_prime // trace.m_prime, trace.c_prime // trace.m_prime
+    shifted = _violations(trace, r=trace.r + big_c, s=trace.s - big_a)
+    assert "'r_window'" in shifted and "'lift'" not in shifted
+
+    # u = 1 here: gcd(a0, c0) = 8 keeps a factor 2 of m' = 4 beyond m'
+    _, trace = solve_class(Instance(4, 2, 4, 3, 4, 8))
+    assert (trace.m_prime, trace.u) == (4, 1)
+    assert "'u_window'" in _violations(trace, u=trace.m_prime)
+    skipped = _violations(trace, u=0, a1=trace.a0, c1=trace.c0)
+    assert "'u_gcd'" in skipped and "'a1'" not in skipped
 
 
 # ---------------------------------------------------------------- solve_dilated
