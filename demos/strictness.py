@@ -9,7 +9,6 @@ a second product term repairs this completely; a single product never does.
 from sumprod import (
     CongruenceClass,
     Progression,
-    class_contains,
     is_prime,
     product_class_contains,
     progression_product_contains,
@@ -18,7 +17,7 @@ from sumprod import (
 
 r3, r5, r15 = CongruenceClass(3, 19), CongruenceClass(5, 19), CongruenceClass(15, 19)
 
-print("53 in R_19(15)?        ", class_contains(r15, 53))
+print("53 in R_19(15)?        ", r15.contains(53))
 ok, pair = product_class_contains(r3, r5, 53)
 print("53 in R_19(3)*R_19(5)? ", ok)
 

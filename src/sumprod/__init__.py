@@ -5,7 +5,6 @@ arithmetic progressions, with exhaustive small-parameter oracles for every claim
 from .classes import (
     CongruenceClass,
     Progression,
-    class_contains,
     dilate,
     product_class_contains,
     progression_product_contains,
@@ -21,7 +20,6 @@ from .iterated import (
     IteratedResult,
     IteratedSpec,
     IteratedWitness,
-    absorb_k1,
     solve_iterated,
     verify_iterated,
 )
@@ -62,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CongruenceClass",
     "Progression",
-    "class_contains",
     "product_class_contains",
     "progression_product_contains",
     "dilate",
@@ -90,7 +87,6 @@ __all__ = [
     "IteratedSpec",
     "IteratedWitness",
     "IteratedResult",
-    "absorb_k1",
     "solve_iterated",
     "verify_iterated",
     "SearchBox",

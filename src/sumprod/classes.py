@@ -16,7 +16,6 @@ from typing import Optional
 __all__ = [
     "CongruenceClass",
     "Progression",
-    "class_contains",
     "product_class_contains",
     "progression_product_contains",
     "dilate",
@@ -60,11 +59,6 @@ class Progression:
 
     def __repr__(self) -> str:
         return f"P_{self.m}({self.a})"
-
-
-def class_contains(cls: CongruenceClass, n: int) -> bool:
-    """n ∈ R_m(a), i.e. m | (n - a)."""
-    return cls.contains(n)
 
 
 def _positive_divisors(n: int) -> list[int]:

@@ -63,20 +63,6 @@ def _witness_line(w: Witness) -> str:
     return f"a'={w.a_prime} b'={w.b_prime} c'={w.c_prime} d'={w.d_prime}"
 
 
-def _trace_lines(t: WitnessTrace) -> list[str]:
-    i = t.instance
-    return [
-        f"solved-as a={i.a} b={i.b} c={i.c} d={i.d} m={i.m} N={i.N}",
-        f"m'={t.m_prime} k={t.k}",
-        f"x={t.x} y={t.y} z={t.z}",
-        f"x'={t.x_prime} y'={t.y_prime} q_x={t.q_x} q_y={t.q_y}",
-        f"a0={t.a0} c0={t.c0}",
-        f"u={t.u} a1={t.a1} c1={t.c1}",
-        f"v={t.v} a'={t.a_prime} c'={t.c_prime}",
-        f"ell={t.ell} r={t.r} s={t.s}",
-    ]
-
-
 def _cmd_witness(args) -> int:
     inst = Instance(args.a, args.b, args.c, args.d, args.m, args.N)
     got = _solve_dilated_traced(inst)
@@ -88,7 +74,8 @@ def _cmd_witness(args) -> int:
     lines = [f"delta={delta}", _witness_line(w)]
     if args.trace:
         obj["trace"] = _trace_dict(trace)
-        lines.extend(_trace_lines(trace))
+        # The human lines come from the same dict, one name=value per key.
+        lines.extend(f"{name}={value}" for name, value in obj["trace"].items())
     _emit(args, obj, "\n".join(lines))
     return EXIT_OK
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .witness import Instance, solve_class
 
@@ -20,7 +20,6 @@ __all__ = [
     "IteratedSpec",
     "IteratedWitness",
     "IteratedResult",
-    "absorb_k1",
     "solve_iterated",
     "verify_iterated",
 ]
@@ -69,26 +68,6 @@ class IteratedWitness:
 class IteratedResult:
     status: str  # WITNESS | NOT_MEMBER | UNSUPPORTED_SHAPE
     witness: Optional[IteratedWitness]
-
-
-def absorb_k1(
-    a0: int, factors: Sequence[int], m: int, N: int
-) -> Optional[IteratedWitness]:
-    """Witness for N ∈ R_m(a0) + R_m(a1)···R_m(ak): the single class soaks up
-    the entire residue, the product factors stay untouched.
-
-    Returns None iff N !≡ a0 + a1···ak (mod m).
-    """
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    factors = tuple(int(x) for x in factors)
-    if not factors:
-        raise ValueError("need at least one product factor")
-    base = a0 + math.prod(factors)
-    if (N - base) % m != 0:
-        return None
-    q = (N - base) // m
-    return IteratedWitness(((a0 + q * m,), factors))
 
 
 def solve_iterated(spec: IteratedSpec, N: int) -> IteratedResult:

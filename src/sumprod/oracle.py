@@ -13,12 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .classes import (
     CongruenceClass,
     Progression,
-    class_contains,
     product_class_contains,
     progression_product_contains,
 )
@@ -57,6 +56,30 @@ class SearchBox:
         return cls(-half, half)
 
 
+def _class_products(c: int, d: int, m: int, box: SearchBox) -> set[int]:
+    # Every (c+k*m)(d+l*m) with k and l in the box: the class side of the
+    # meet-in-the-middle search.
+    span = range(box.lo, box.hi + 1)
+    return {(c + k * m) * (d + l * m) for k in span for l in span}
+
+
+def _first_pair(
+    a: int, b: int, m: int, n_target: int, order: Sequence[int], products: set[int]
+) -> Optional[tuple[int, int]]:
+    # First (i, j) in order x order with N - (a+i*m)(b+j*m) in products.
+    for i in order:
+        ai = a + i * m
+        for j in order:
+            if n_target - ai * (b + j * m) in products:
+                return i, j
+    return None
+
+
+def _centered(box: SearchBox) -> list[int]:
+    # 0, 1, -1, 2, -2, ... clipped to the box; near-origin hits come first.
+    return sorted(range(box.lo, box.hi + 1), key=lambda v: (abs(v), v))
+
+
 def oracle_member_class(
     inst: Instance, box: SearchBox
 ) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
@@ -67,45 +90,18 @@ def oracle_member_class(
     table rather than four nested loops.
     """
     a, b, c, d, m, n_target = inst.a, inst.b, inst.c, inst.d, inst.m, inst.N
-    lo, hi = box.lo, box.hi
-    right: dict[int, tuple[int, int]] = {}
-    for k in range(lo, hi + 1):
-        ck = c + k * m
-        for l in range(lo, hi + 1):
-            p = ck * (d + l * m)
-            if p not in right:
-                right[p] = (k, l)
-    for i in range(lo, hi + 1):
-        ai = a + i * m
-        for j in range(lo, hi + 1):
-            got = right.get(n_target - ai * (b + j * m))
-            if got is not None:
-                return True, (i, j, got[0], got[1])
-    return False, None
-
-
-def _centered(lo: int, hi: int) -> list[int]:
-    # 0, 1, -1, 2, -2, ... clipped to [lo, hi]; near-origin hits come first.
-    return sorted(range(lo, hi + 1), key=lambda v: (abs(v), v))
-
-
-def _member_class_fast(
-    a: int, b: int, c: int, d: int, m: int, n_target: int, lo: int, hi: int
-) -> bool:
-    # Same search space as oracle_member_class, but membership only: scans
-    # near-origin indices first and exits on the first hit.
-    right = set()
-    for k in range(lo, hi + 1):
-        ck = c + k * m
-        for l in range(lo, hi + 1):
-            right.add(ck * (d + l * m))
-    order = _centered(lo, hi)
-    for i in order:
-        ai = a + i * m
-        for j in order:
-            if n_target - ai * (b + j * m) in right:
-                return True
-    return False
+    span = range(box.lo, box.hi + 1)
+    hit = _first_pair(a, b, m, n_target, span, _class_products(c, d, m, box))
+    if hit is None:
+        return False, None
+    i, j = hit
+    rest = n_target - (a + i * m) * (b + j * m)
+    k, l = next(
+        (k, l)
+        for k, l in itertools.product(span, repeat=2)
+        if (c + k * m) * (d + l * m) == rest
+    )
+    return True, (i, j, k, l)
 
 
 def oracle_member_progression(
@@ -264,50 +260,46 @@ def grid_verify_theorem(
         raise ValueError("sweep cap is m_max <= 12")
     report = GridReport(m_max=m_max, k_window=k_window)
     for m in range(1, m_max + 1):
-        for a, b, c, d in itertools.product(range(1, m + 1), repeat=4):
-            report.instances += 1
-            delta = math.gcd(a, b, c, d, m)
-            base = a * b + c * d
-            dm = delta * m
-            n_hi = max(abs(base + k_window * dm), abs(base - k_window * dm))
-            half = n_hi // m + m
-            right = set()
-            for k in range(-half, half + 1):
-                ck = c + k * m
-                for l in range(-half, half + 1):
-                    right.add(ck * (d + l * m))
-            order = _centered(-half, half)
-            for t in range(-k_window, k_window + 1):
-                n_target = base + t * dm
-                report.values += 1
-                inst = Instance(a, b, c, d, m, n_target)
-                got = solve_dilated(inst)
-                if got is None:
-                    report.discrepancies.append(
-                        (a, b, c, d, m, n_target, "solver-not-member")
-                    )
-                    continue
-                w = got[0]
-                if corrupt is not None:
-                    w = corrupt(w)
-                if not verify_witness(inst, w):
-                    report.discrepancies.append(
-                        (a, b, c, d, m, n_target, "verify-failed", w)
-                    )
-                    continue
-                hit = False
-                for i in order:
-                    ai = a + i * m
-                    for j in order:
-                        if n_target - ai * (b + j * m) in right:
-                            hit = True
-                            break
-                    if hit:
-                        break
-                if not hit:
-                    report.discrepancies.append(
-                        (a, b, c, d, m, n_target, "oracle-missed")
-                    )
+        for c, d in itertools.product(range(1, m + 1), repeat=2):
+            group = []
+            for a, b in itertools.product(range(1, m + 1), repeat=2):
+                base = a * b + c * d
+                dm = math.gcd(a, b, c, d, m) * m
+                far = Instance(a, b, c, d, m, base + abs(k_window) * dm)
+                group.append((a, b, base, dm, SearchBox.default_for(far)))
+            # One class-side table per (m, c, d).  Boxes are centred, so the
+            # largest holds every other one: a table over it can only let an
+            # (a, b) find more than a table over its own box would.
+            widest = max((g[4] for g in group), key=lambda box: box.hi)
+            products = _class_products(c, d, m, widest)
+            for a, b, base, dm, box in group:
+                report.instances += 1
+                order = _centered(box)
+                for t in range(-k_window, k_window + 1):
+                    n_target = base + t * dm
+                    report.values += 1
+                    inst = Instance(a, b, c, d, m, n_target)
+                    got = solve_dilated(inst)
+                    if got is None:
+                        report.discrepancies.append(
+                            (a, b, c, d, m, n_target, "solver-not-member")
+                        )
+                        continue
+                    w = got[0]
+                    if corrupt is not None:
+                        w = corrupt(w)
+                    if not verify_witness(inst, w):
+                        report.discrepancies.append(
+                            (a, b, c, d, m, n_target, "verify-failed", w)
+                        )
+                        continue
+                    if _first_pair(a, b, m, n_target, order, products) is None:
+                        report.discrepancies.append(
+                            (a, b, c, d, m, n_target, "oracle-missed")
+                        )
+            # Drop this table before the next one is built, so that two are
+            # never alive at once.
+            del products
     return report
 
 
@@ -338,7 +330,7 @@ def strictness_demo(scan_bound: int = 1000) -> StrictnessReport:
     r15 = CongruenceClass(15, 19)
     r3 = CongruenceClass(3, 19)
     r5 = CongruenceClass(5, 19)
-    in_class = class_contains(r15, 53)
+    in_class = r15.contains(53)
     in_product = product_class_contains(r3, r5, 53)[0]
     p3 = Progression(3, 19)
     p5 = Progression(5, 19)

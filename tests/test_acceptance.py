@@ -12,6 +12,7 @@ import random
 from sumprod import (
     Instance,
     IteratedSpec,
+    SearchBox,
     Witness,
     exceptional_set,
     grid_verify_theorem,
@@ -28,7 +29,7 @@ from sumprod import (
     verify_iterated,
     verify_witness,
 )
-from sumprod.oracle import _centered
+from sumprod.oracle import _centered, _class_products, _first_pair
 
 
 def _report(label):
@@ -209,26 +210,17 @@ def _iter_check(terms, m, rng, pair_oracle_rate):
             )
             assert total == n_target
     elif rng.random() < pair_oracle_rate:
-        # leading pair against the frozen tail, same box the class oracle
-        # would use at the widest target
+        # leading pair against the frozen tail, one table over the box the
+        # class oracle would use at the widest target (base - tail > 0)
         (a11, a12), (a21, a22) = terms[0], terms[1]
         tail = sum(math.prod(t) for t in terms[2:])
-        n2_hi = max(abs(base - tail - 20 * m), abs(base - tail + 20 * m))
-        half = n2_hi // m + m
-        right = set()
-        for k in range(-half, half + 1):
-            ck = a21 + k * m
-            for l in range(-half, half + 1):
-                right.add(ck * (a22 + l * m))
-        order = _centered(-half, half)
+        far = Instance(a11, a12, a21, a22, m, base - tail + 20 * m)
+        box = SearchBox.default_for(far)
+        products = _class_products(a21, a22, m, box)
+        order = _centered(box)
         for n_target in valid_targets:
-            n2 = n_target - tail
-            hit = any(
-                (n2 - (a11 + i * m) * (a12 + j * m)) in right
-                for i in order
-                for j in order
-            )
-            assert hit, (spec, n_target)
+            hit = _first_pair(a11, a12, m, n_target - tail, order, products)
+            assert hit is not None, (spec, n_target)
 
 
 def test_criterion_6_iterated():

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from sumprod import (
     CongruenceClass,
     Progression,
-    class_contains,
     dilate,
     product_class_contains,
     progression_product_contains,
@@ -14,9 +13,9 @@ DET = settings(max_examples=300, derandomize=True, deadline=None)
 
 
 def test_class_contains_examples():
-    assert class_contains(CongruenceClass(15, 19), 53)
-    assert class_contains(CongruenceClass(3, 19), 3)
-    assert not class_contains(CongruenceClass(2, 7), 20)
+    assert CongruenceClass(15, 19).contains(53)
+    assert CongruenceClass(3, 19).contains(3)
+    assert not CongruenceClass(2, 7).contains(20)
 
 
 def test_canonical_representative():
@@ -94,7 +93,7 @@ def test_product_subset_of_product_class(m, a1, a2, n):
     c1, c2 = CongruenceClass(a1, m), CongruenceClass(a2, m)
     got, pair = product_class_contains(c1, c2, n)
     if got:
-        assert class_contains(CongruenceClass(a1 * a2, m), n)
+        assert CongruenceClass(a1 * a2, m).contains(n)
         x, y = pair
         assert x * y == n
 
@@ -105,7 +104,7 @@ def test_strictness_is_realized_below_100():
     found = [
         n
         for n in range(-100, 101)
-        if class_contains(target, n) and not product_class_contains(c1, c2, n)[0]
+        if target.contains(n) and not product_class_contains(c1, c2, n)[0]
     ]
     assert 53 in found
 
@@ -153,4 +152,4 @@ def test_dilate_examples():
 )
 def test_dilate_membership(m, a, delta, n):
     cls = CongruenceClass(a, m)
-    assert class_contains(cls, n) == class_contains(dilate(cls, delta), delta * n)
+    assert cls.contains(n) == dilate(cls, delta).contains(delta * n)

@@ -79,6 +79,15 @@ def test_witness_trace_fields(capsys):
     assert list(obj["trace"]) == [f.name for f in dataclasses.fields(WitnessTrace)]
 
 
+def test_witness_human_trace_fields(capsys):
+    code, out, _ = run_cap(
+        capsys, ["witness", "3", "5", "2", "2", "19", "152", "--trace"]
+    )
+    assert code == 0
+    names = [line.split("=", 1)[0] for line in out.splitlines()[2:]]
+    assert names == [f.name for f in dataclasses.fields(WitnessTrace)]
+
+
 def test_json_flag_position(capsys):
     code, first, _ = run_cap(capsys, ["--json", "demo", "--bound", "100"])
     assert code == 0

@@ -5,7 +5,6 @@ import pytest
 
 from sumprod import (
     IteratedSpec,
-    absorb_k1,
     iterated_member_search,
     solve_iterated,
     verify_iterated,
@@ -13,34 +12,38 @@ from sumprod import (
 
 
 def test_absorb_examples():
-    w = absorb_k1(2, [3, 4], 7, 21)
-    assert w.values == ((9,), (3, 4))
-    w = absorb_k1(2, [3, 4], 7, 14)
-    assert w.values == ((2,), (3, 4))
-    assert absorb_k1(2, [3, 4], 7, 15) is None
+    spec = IteratedSpec(7, ((2,), (3, 4)))
+    assert solve_iterated(spec, 21).witness.values == ((9,), (3, 4))
+    assert solve_iterated(spec, 14).witness.values == ((2,), (3, 4))
+    res = solve_iterated(spec, 15)
+    assert res.status == "not-member" and res.witness is None
 
 
 def test_absorb_validation():
     with pytest.raises(ValueError):
-        absorb_k1(2, [], 7, 21)
+        IteratedSpec(7, ((2,), ()))  # empty product term
     with pytest.raises(ValueError):
-        absorb_k1(2, [3], 0, 21)
+        IteratedSpec(0, ((2,), (3,)))
 
 
 def test_absorb_invariants_small_grid():
+    # the lone class takes the whole residue; the product term is untouched
     for m in range(1, 8):
         for a0 in range(-m, m + 1):
             for f1 in range(-m, m + 1):
                 for f2 in range(1, m + 1):
+                    spec = IteratedSpec(m, ((a0,), (f1, f2)))
                     base = a0 + f1 * f2
                     for n_target in range(base - 3 * m, base + 3 * m + 1):
-                        w = absorb_k1(a0, [f1, f2], m, n_target)
+                        res = solve_iterated(spec, n_target)
                         if (n_target - base) % m == 0:
-                            (h,), fs = w.values
+                            assert res.status == "witness"
+                            (h,), fs = res.witness.values
                             assert (h - a0) % m == 0 and fs == (f1, f2)
                             assert h + f1 * f2 == n_target
                         else:
-                            assert w is None
+                            assert res.status == "not-member"
+                            assert res.witness is None
 
 
 def test_iterated_spec_validation():
@@ -85,23 +88,6 @@ def test_solve_iterated_unsupported():
     # shape (2,2) but leading coefficients share a factor with m
     res = solve_iterated(IteratedSpec(2, ((2, 2), (2, 2))), 8)
     assert res.status == "unsupported-shape"
-
-
-def test_solve_iterated_agrees_with_absorb():
-    for m in range(1, 6):
-        for a0 in range(1, m + 1):
-            for f1 in range(1, m + 1):
-                for f2 in range(1, m + 1):
-                    spec = IteratedSpec(m, ((a0,), (f1, f2)))
-                    base = spec.base_value()
-                    for n_target in range(base - 2 * m, base + 2 * m + 1):
-                        res = solve_iterated(spec, n_target)
-                        via_absorb = absorb_k1(a0, [f1, f2], m, n_target)
-                        if via_absorb is None:
-                            assert res.status == "not-member"
-                        else:
-                            assert res.status == "witness"
-                            assert res.witness.values == via_absorb.values
 
 
 def test_oracle_agreement_k1_shapes():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import sumprod.oracle
 from sumprod import (
     Instance,
     Progression,
@@ -104,6 +105,21 @@ def test_grid_small_clean():
     rep = grid_verify_theorem(m_max=3, k_window=10)
     assert rep.ok and rep.instances == 98
     assert rep.values == 98 * 21
+
+
+def test_grid_builds_one_table_per_m_c_d(monkeypatch):
+    # one class-side table per (m, c, d): 1 + 4 + 9, not one per template
+    calls = []
+    build = sumprod.oracle._class_products
+
+    def counting(*args):
+        calls.append(args[:3])
+        return build(*args)
+
+    monkeypatch.setattr(sumprod.oracle, "_class_products", counting)
+    rep = grid_verify_theorem(m_max=3, k_window=4)
+    assert rep.ok and rep.instances == 98
+    assert len(calls) == 14 and len(set(calls)) == 14
 
 
 def test_grid_m1_trivial():

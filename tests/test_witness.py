@@ -18,7 +18,6 @@ from sumprod import (
     validate_trace,
     verify_witness,
 )
-from sumprod.oracle import _member_class_fast
 
 
 # ---------------------------------------------------------------- lemma_lift
@@ -153,9 +152,8 @@ def test_oracle_agreement_small_grid():
             base = a * b + c * d
             for n_target in range(base - 6 * m, base + 6 * m + 1):
                 inst = Instance(a, b, c, d, m, n_target)
-                half = abs(n_target) // m + m
-                got_fast = _member_class_fast(a, b, c, d, m, n_target, -half, half)
-                assert got_fast == (solve_class(inst) is not None)
+                ok, _ = oracle_member_class(inst, SearchBox.default_for(inst))
+                assert ok == (solve_class(inst) is not None)
 
 
 def _violations(trace, **tampered):
