@@ -4,7 +4,8 @@ Exit codes are the contract: 0 success/witness, 1 legitimate negative
 (not-member, failed check, unsupported shape, grid discrepancy), 2 usage
 error, 3 internal invariant violation.  stdout carries the result (human text
 by default, one JSON object per line under --json); stderr carries
-diagnostics only.
+diagnostics only.  A reader that closes stdout early (`sumprod ... | head`)
+ends the run quietly with 141, the shell's status for a SIGPIPE death.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INVARIANT = 3
+EXIT_BROKEN_PIPE = 128 + 13
 
 
 def _witness_dict(w: Witness) -> dict:
@@ -69,7 +72,7 @@ def _cmd_witness(args) -> int:
     if got is None:
         _emit(args, {"status": "not-member"}, "not-member")
         return EXIT_NEGATIVE
-    w, delta, _reduced, trace = got
+    w, delta, trace = got
     obj = {"status": "witness", "delta": delta, "witness": _witness_dict(w)}
     lines = [f"delta={delta}", _witness_line(w)]
     if args.trace:
@@ -328,7 +331,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's exit flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .classes import (
     CongruenceClass,
@@ -104,6 +104,16 @@ def oracle_member_class(
     return True, (i, j, k, l)
 
 
+def _nonneg_rows(x0: int, y0: int, m: int, cap: int) -> Iterator[range]:
+    # Row i holds the products (x0+i*m)(y0+j*m) <= cap for j = 0, 1, ...,
+    # which form an arithmetic progression in j; rows come in order of i.
+    # Positive x0, y0 keep the enumeration finite.
+    x = x0
+    while x * y0 <= cap:
+        yield range(x * y0, cap + 1, x * m)
+        x += m
+
+
 def oracle_member_progression(
     inst: Instance,
 ) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
@@ -118,29 +128,16 @@ def oracle_member_progression(
         raise ValueError("progression templates must be positive")
     if n_target < a * b + c * d:
         return False, None
-    cap_right = n_target - a * b
     right: dict[int, tuple[int, int]] = {}
-    k = 0
-    while (c + k * m) * d <= cap_right:
-        ck = c + k * m
-        l = 0
-        while ck * (d + l * m) <= cap_right:
-            p = ck * (d + l * m)
+    for k, row in enumerate(_nonneg_rows(c, d, m, n_target - a * b)):
+        for l, p in enumerate(row):
             if p not in right:
                 right[p] = (k, l)
-            l += 1
-        k += 1
-    cap_left = n_target - c * d
-    i = 0
-    while (a + i * m) * b <= cap_left:
-        ai = a + i * m
-        j = 0
-        while ai * (b + j * m) <= cap_left:
-            got = right.get(n_target - ai * (b + j * m))
+    for i, row in enumerate(_nonneg_rows(a, b, m, n_target - c * d)):
+        for j, p in enumerate(row):
+            got = right.get(n_target - p)
             if got is not None:
                 return True, (i, j, got[0], got[1])
-            j += 1
-        i += 1
     return False, None
 
 
@@ -158,47 +155,20 @@ def progression_sums_mask(
     if cap < a * b + c * d:
         return 0
     left = 0
-    cap_left = cap - c * d
-    x = a
-    while x * b <= cap_left:
-        y = b
-        while x * y <= cap_left:
-            left |= 1 << (x * y)
-            y += m
-        x += m
-    vals = set()
-    cap_right = cap - a * b
-    z = c
-    while z * d <= cap_right:
-        w = d
-        while z * w <= cap_right:
-            vals.add(z * w)
-            w += m
-        z += m
+    for row in _nonneg_rows(a, b, m, cap - c * d):
+        for p in row:
+            left |= 1 << p
     total = 0
-    for q in vals:
+    for q in set().union(*_nonneg_rows(c, d, m, cap - a * b)):
         total |= left << q
     return total & ((1 << (cap + 1)) - 1)
 
 
-def iterated_member_search(
-    terms: tuple[tuple[int, ...], ...],
-    m: int,
-    n_target: int,
-    bounds: tuple[int, ...],
-) -> tuple[bool, Optional[tuple[tuple[int, ...], ...]]]:
-    """Bounded search for N = sum of products of (a_ij + q_ij * m).
-
-    bounds[i] caps |q_ij| for every coefficient of term i.  Sound always;
-    complete only within those boxes.  A wrong residue class is refused
-    outright: every decomposition reduces to the base value mod m, so no box
-    can contain one.
-    """
-    if len(bounds) != len(terms):
-        raise ValueError("one bound per term required")
-    base = sum(math.prod(t) for t in terms)
-    if (n_target - base) % m != 0:
-        return False, None
+def _iterated_finder(
+    terms: tuple[tuple[int, ...], ...], m: int, bounds: tuple[int, ...]
+) -> Callable[[int], Optional[tuple[tuple[int, ...], ...]]]:
+    # The tables depend only on (terms, m, bounds): build them once, and
+    # finish each target with the returned lookup.
     # Enumerate attainable values per term, keeping the first index tuple.
     tables: list[dict[int, tuple[int, ...]]] = []
     for coefs, bd in zip(terms, bounds):
@@ -220,13 +190,39 @@ def iterated_member_search(
                 if key not in new:
                     new[key] = picked + [(idx, qs)]
         partial = new
-    for s, picked in partial.items():
-        qs_big = tables[big].get(n_target - s)
-        if qs_big is not None:
-            chosen = dict(picked)
-            chosen[big] = qs_big
-            return True, tuple(chosen[idx] for idx in range(len(terms)))
-    return False, None
+
+    def lookup(n_target: int) -> Optional[tuple[tuple[int, ...], ...]]:
+        for s, picked in partial.items():
+            qs_big = tables[big].get(n_target - s)
+            if qs_big is not None:
+                chosen = dict(picked)
+                chosen[big] = qs_big
+                return tuple(chosen[idx] for idx in range(len(terms)))
+        return None
+
+    return lookup
+
+
+def iterated_member_search(
+    terms: tuple[tuple[int, ...], ...],
+    m: int,
+    n_target: int,
+    bounds: tuple[int, ...],
+) -> tuple[bool, Optional[tuple[tuple[int, ...], ...]]]:
+    """Bounded search for N = sum of products of (a_ij + q_ij * m).
+
+    bounds[i] caps |q_ij| for every coefficient of term i.  Sound always;
+    complete only within those boxes.  A wrong residue class is refused
+    outright: every decomposition reduces to the base value mod m, so no box
+    can contain one.
+    """
+    if len(bounds) != len(terms):
+        raise ValueError("one bound per term required")
+    base = sum(math.prod(t) for t in terms)
+    if (n_target - base) % m != 0:
+        return False, None
+    qs = _iterated_finder(terms, m, bounds)(n_target)
+    return qs is not None, qs
 
 
 @dataclass

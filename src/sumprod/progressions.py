@@ -16,6 +16,7 @@ from .witness import (
     Instance,
     InternalInvariantError,
     Witness,
+    _component_box,
     _solve_core,
     verify_witness,
 )
@@ -64,9 +65,7 @@ def threshold_N0(a: int, b: int, c: int, d: int, m: int) -> ThresholdReport:
     """
     if min(a, b, c, d, m) < 1:
         raise ValueError("all parameters must be positive")
-    mm = m * m
-    a_hi = a + (d + 1) * mm
-    c_hi = c + (a + b + 1) * mm + (d + 1) * mm * mm
+    a_hi, c_hi = _component_box(a, b, c, d, m)
     n0 = a_hi * b + c_hi * d + m * a_hi * c_hi
     return ThresholdReport(n0, a_hi, c_hi, (a, b, c, d, m))
 
@@ -84,8 +83,9 @@ def solve_progression(inst: Instance) -> ProgressionResult:
 
     Guaranteed for N >= N0, since the smallest u, v shifts keep (a', c')
     inside the threshold's box.  For smaller members the lift is attempted
-    anyway; when no one-sided lift exists for the constructed (a', c'), the
-    outcome is labelled below-threshold-failure rather than not-member.
+    anyway; when the lift has d' < d, no one-sided lift exists for the
+    constructed (a', c') and the outcome is labelled below-threshold-failure
+    rather than not-member.
     """
     a, b, c, d, m, N = inst.a, inst.b, inst.c, inst.d, inst.m, inst.N
     _check_preconditions(a, b, c, d, m)
@@ -96,14 +96,13 @@ def solve_progression(inst: Instance) -> ProgressionResult:
     if N == base:
         # Smallest member: the templates themselves already decompose it.
         return ProgressionResult(WITNESS, Witness(a, b, c, d), report)
-    got = _solve_core(a, b, c, d, m, N, require_nonneg_growth=True)
-    if got is None:
+    w, _trace = _solve_core(a, b, c, d, m, N)
+    if w.d_prime < d:
         if N >= report.N0:
             raise InternalInvariantError(
                 f"one-sided lift must succeed at N >= N0: {inst!r}, N0={report.N0}"
             )
         return ProgressionResult(BELOW_THRESHOLD_FAILURE, None, report)
-    w, _trace = got
     if not (
         verify_witness(inst, w)
         and w.a_prime >= a

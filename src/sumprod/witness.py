@@ -137,6 +137,12 @@ def verify_witness(inst: Instance, w: Witness) -> bool:
     )
 
 
+def _component_box(a: int, b: int, c: int, d: int, m: int) -> tuple[int, int]:
+    # The proof's bounds a' <= a_hi and c' <= c_hi on the pipeline's (a', c').
+    mm = m * m
+    return a + (d + 1) * mm, c + (a + b + 1) * mm + (d + 1) * mm * mm
+
+
 def validate_trace(trace: WitnessTrace) -> None:
     """Re-check every trace invariant; raise InternalInvariantError on failure.
 
@@ -147,7 +153,7 @@ def validate_trace(trace: WitnessTrace) -> None:
     i = t.instance
     a, b, c, d, m, n_target = i.a, i.b, i.c, i.d, i.m, i.N
     mp = t.m_prime
-    mm = m * m
+    a_hi, c_hi = _component_box(a, b, c, d, m)
     checks = {
         "m_prime": mp == math.gcd(a, c, m),
         "k": n_target == a * b + c * d + t.k * m,
@@ -168,8 +174,8 @@ def validate_trace(trace: WitnessTrace) -> None:
         "gcd_final": math.gcd(t.a_prime, t.c_prime) == mp,
         "congruence_mm": (n_target - (t.a_prime * b + t.c_prime * d)) % (m * mp)
         == 0,
-        "ineq2_a": a <= t.a_prime <= a + (d + 1) * mm,
-        "ineq2_c": c <= t.c_prime <= c + (a + b + 1) * mm + (d + 1) * mm * mm,
+        "ineq2_a": a <= t.a_prime <= a_hi,
+        "ineq2_c": c <= t.c_prime <= c_hi,
         "ell": t.ell * (m * mp) == n_target - (t.a_prime * b + t.c_prime * d),
         "lift": t.a_prime * t.r + t.c_prime * t.s == t.ell * mp,
         "r_window": 0 <= t.r < t.c_prime // mp,
@@ -182,22 +188,16 @@ def validate_trace(trace: WitnessTrace) -> None:
 
 
 def lemma_lift(
-    a_p: int,
-    c_p: int,
-    b: int,
-    d: int,
-    m: int,
-    N: int,
-    require_nonneg_growth: bool = False,
-) -> Optional[tuple[int, int]]:
+    a_p: int, c_p: int, b: int, d: int, m: int, N: int
+) -> tuple[int, int]:
     """Lift (b, d) to (b', d') with b' ≡ b, d' ≡ d (mod m) and a'b' + c'd' = N.
 
     Requires N ≡ a'b + c'd (mod m*m') where m' = gcd(a', c'); violating that
     is a caller error.  The lift is b' = b + m*r, d' = d + m*s with the least
-    r >= 0, so 0 <= r < |c'|/m' when c' != 0.  With require_nonneg_growth
-    (positive a', c' only) it additionally needs d' >= d and returns None
-    otherwise: that is exactly when no lift with b' >= b, d' >= d exists, and
-    it cannot happen once N >= a'b + c'd + m(a' - m')(c' - m').
+    r >= 0, so 0 <= r < |c'|/m' when c' != 0.  For positive a', c' that r
+    leaves the largest s, so a lift with b' >= b, d' >= d exists exactly when
+    this one has d' >= d; it always does once
+    N >= a'b + c'd + m(a' - m')(c' - m').
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
@@ -207,19 +207,15 @@ def lemma_lift(
     rem = N - (a_p * b + c_p * d)
     if rem % (m * m_p) != 0:
         raise ValueError("N !≡ a'b + c'd (mod m*m')")
-    if require_nonneg_growth and (a_p < 1 or c_p < 1):
-        raise ValueError("one-sided growth requires positive a', c'")
     r, s = _least_r_lift(a_p, c_p, m_p, rem // (m * m_p))
-    if require_nonneg_growth and s < 0:
-        return None
     return b + m * r, d + m * s
 
 
 def _solve_core(
-    a: int, b: int, c: int, d: int, m: int, N: int, require_nonneg_growth: bool
-) -> Optional[tuple[Witness, WitnessTrace]]:
+    a: int, b: int, c: int, d: int, m: int, N: int
+) -> tuple[Witness, WitnessTrace]:
     # Pre: a, b, c, d >= 1, gcd(a, b, c, d, m) = 1, N ≡ ab + cd (mod m).
-    # None is only possible on the one-sided path, when no growth lift exists.
+    # The witness is integral; the one-sided caller checks d' >= d itself.
     k = (N - (a * b + c * d)) // m
     m_p = math.gcd(a, c, m)
     sol = solve_linear3(b, d, m_p, k)
@@ -258,10 +254,7 @@ def _solve_core(
     else:
         raise InternalInvariantError(f"no v-shift up to a1={a1} for c1={c1}")
 
-    lift = lemma_lift(a_p, c_p, b, d, m, N, require_nonneg_growth)
-    if lift is None:
-        return None
-    b_p, d_p = lift
+    b_p, d_p = lemma_lift(a_p, c_p, b, d, m, N)
     ell = (N - (a_p * b + c_p * d)) // (m * m_p)
     trace = WitnessTrace(
         instance=Instance(a, b, c, d, m, N),
@@ -311,10 +304,7 @@ def solve_class(inst: Instance) -> Optional[tuple[Witness, WitnessTrace]]:
     )
     if (N - (an * bn + cn * dn)) % m != 0:
         return None
-    got = _solve_core(an, bn, cn, dn, m, N, require_nonneg_growth=False)
-    if got is None:  # integer lift cannot fail
-        raise InternalInvariantError(f"integer lift failed for {inst!r}")
-    w, trace = got
+    w, trace = _solve_core(an, bn, cn, dn, m, N)
     if not verify_witness(inst, w):
         raise InternalInvariantError(f"witness failed verification: {w!r} for {inst!r}")
     return w, trace
@@ -322,10 +312,13 @@ def solve_class(inst: Instance) -> Optional[tuple[Witness, WitnessTrace]]:
 
 def _solve_dilated_traced(
     inst: Instance,
-) -> Optional[tuple[Witness, int, Instance, WitnessTrace]]:
-    # Shared by solve_dilated and the CLI (which also wants the reduced
-    # instance and its trace).
+) -> Optional[tuple[Witness, int, WitnessTrace]]:
+    # Shared by solve_dilated and the CLI (which also wants the trace).
     delta = inst.delta()
+    if delta == 1:
+        # solve_class has already verified this witness against inst.
+        got = solve_class(inst)
+        return None if got is None else (got[0], 1, got[1])
     base = inst.a * inst.b + inst.c * inst.d
     if (inst.N - base) % (delta * inst.m) != 0:
         return None
@@ -344,20 +337,18 @@ def _solve_dilated_traced(
     if got is None:
         raise InternalInvariantError(f"reduced instance unsolvable: {reduced!r}")
     w0, trace = got
-    if delta == 1:
-        w = w0
-    else:
-        w = Witness(
-            delta * w0.a_prime,
-            delta * w0.b_prime,
-            delta * w0.c_prime,
-            delta * w0.d_prime,
-        )
+    w = Witness(
+        delta * w0.a_prime,
+        delta * w0.b_prime,
+        delta * w0.c_prime,
+        delta * w0.d_prime,
+    )
+    # A different certificate from the reduced one: check it on inst itself.
     if not verify_witness(inst, w):
         raise InternalInvariantError(
             f"dilated witness failed verification: {w!r} for {inst!r}"
         )
-    return w, delta, reduced, trace
+    return w, delta, trace
 
 
 def solve_dilated(inst: Instance) -> Optional[tuple[Witness, int]]:

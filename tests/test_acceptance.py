@@ -16,7 +16,6 @@ from sumprod import (
     Witness,
     exceptional_set,
     grid_verify_theorem,
-    iterated_member_search,
     solve_class,
     solve_dilated,
     solve_iterated,
@@ -29,7 +28,12 @@ from sumprod import (
     verify_iterated,
     verify_witness,
 )
-from sumprod.oracle import _centered, _class_products, _first_pair
+from sumprod.oracle import (
+    _centered,
+    _class_products,
+    _first_pair,
+    _iterated_finder,
+)
 
 
 def _report(label):
@@ -177,7 +181,7 @@ def _iter_check(terms, m, rng, pair_oracle_rate):
     Solver side (status gate and certificate) is always fully checked.  The
     independent bounded search runs on every valid target for absorb shapes
     (cheap there) and on a seeded fraction of pair-led configurations, with
-    the product table hoisted out of the target loop.
+    its tables hoisted out of the target loop in both cases.
     """
     spec = IteratedSpec(m, terms)
     ks = spec.shape()
@@ -201,9 +205,12 @@ def _iter_check(terms, m, rng, pair_oracle_rate):
         return
     if ks[0] == 1:
         bounds = (21,) + (1,) * (len(terms) - 1)
+        # iterated_member_search, with one table build per configuration
+        # instead of one per target
+        find = _iterated_finder(terms, m, bounds)
         for n_target in valid_targets:
-            ok, qs = iterated_member_search(terms, m, n_target, bounds)
-            assert ok, (spec, n_target)
+            qs = find(n_target)
+            assert qs is not None, (spec, n_target)
             total = sum(
                 math.prod(cf + q * m for cf, q in zip(t, qt))
                 for t, qt in zip(terms, qs)

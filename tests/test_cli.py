@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,3 +222,66 @@ def test_big_integer_arguments(capsys):
         w["a_prime"] * w["b_prime"] + w["c_prime"] * w["d_prime"]
         == (10**20 + 1) ** 2 + 1
     )
+
+
+GOLDEN = {
+    # --json output, byte for byte: witnesses, trace fields and statuses are
+    # part of the CLI contract, so any change to them must show up here
+    ("witness", "3", "5", "2", "2", "19", "152", "--trace"): (
+        '{"status": "witness", "delta": 1, "witness": {"a_prime": 3, '
+        '"b_prime": 33179, "c_prime": 1807, "d_prime": -55}, "trace": '
+        '{"instance": [3, 5, 2, 2, 19, 152], "m_prime": 1, "k": 7, "x": 0, '
+        '"y": 0, "z": 7, "x_prime": 0, "y_prime": 95, "q_x": 0, "q_y": -95, '
+        '"a0": 3, "c0": 1807, "u": 0, "a1": 3, "c1": 1807, "v": 0, '
+        '"a_prime": 3, "c_prime": 1807, "ell": -183, "r": 1746, "s": -3}}'
+    ),
+    ("witness", "2", "4", "6", "8", "10", "76", "--trace"): (
+        '{"status": "witness", "delta": 2, "witness": {"a_prime": 2, '
+        '"b_prime": 144, "c_prime": 106, "d_prime": -2}, "trace": '
+        '{"instance": [1, 2, 3, 4, 5, 19], "m_prime": 1, "k": 1, "x": 0, '
+        '"y": 0, "z": 1, "x_prime": 0, "y_prime": 10, "q_x": 0, "q_y": -10, '
+        '"a0": 1, "c0": 53, "u": 0, "a1": 1, "c1": 53, "v": 0, '
+        '"a_prime": 1, "c_prime": 53, "ell": -39, "r": 14, "s": -1}}'
+    ),
+    ("progression", "1", "1", "1", "1", "2", "866"): (
+        '{"status": "witness", "N0": 864, "witness": {"a_prime": 1, '
+        '"b_prime": 1, "c_prime": 5, "d_prime": 173}}'
+    ),
+    ("progression", "1", "1", "1", "1", "2", "4"): (
+        '{"status": "below-threshold-failure", "N0": 864}'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_json_golden(capsys, argv):
+    code, out, err = run_cap(capsys, ["--json", *argv])
+    assert out == GOLDEN[argv] + "\n" and not err
+    assert code == (1 if "below-threshold-failure" in out else 0)
+
+
+def test_closed_stdout_exits_quietly():
+    # `sumprod ... | head -1`: once the reader is gone, the run ends without
+    # a traceback, whether that happens before or after the first line
+    argv = [sys.executable, "-m", "sumprod", "witness", "3", "5", "2", "2",
+            "19", "152", "--trace"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": "1"}
+
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        assert proc.stdout.readline() == b"delta=1\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+    # a reader gone before the first write makes that write fail every time
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with subprocess.Popen(
+        argv, stdout=write_end, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        os.close(write_end)
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 141 and err == ""

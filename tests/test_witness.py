@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from sumprod import witness
 from sumprod import (
     Instance,
     InternalInvariantError,
@@ -28,12 +29,12 @@ def test_lemma_lift_m1_collapse():
 
 
 def test_lemma_lift_nonneg_growth():
-    got = lemma_lift(3, 5, 1, 1, 2, 38, require_nonneg_growth=True)
-    assert got is not None
-    b_p, d_p = got
+    b_p, d_p = lemma_lift(3, 5, 1, 1, 2, 38)
     assert 3 * b_p + 5 * d_p == 38
     assert b_p >= 1 and d_p >= 1
     assert b_p % 2 == 1 and d_p % 2 == 1
+    # ell = (38 - 3 - 5) / 2 = 15
+    assert ((b_p - 1) // 2, (d_p - 1) // 2) == sylvester_nonneg(3, 5, 1, 15)
 
 
 def test_lemma_lift_precondition_gate():
@@ -54,8 +55,21 @@ def test_lemma_lift_integer_domain():
                 assert (b_p - b) % m == 0 and (d_p - d) % m == 0
                 if c_p:
                     assert 0 <= (b_p - b) // m < abs(c_p) // m_p
-    with pytest.raises(ValueError):
-        lemma_lift(-3, 5, 1, 1, 2, -3 + 5, require_nonneg_growth=True)
+    # no refusal for a negative a': reading d' >= d as "one-sided" is the
+    # caller's business, and sound only for positive a', c'
+    assert lemma_lift(-3, 5, 1, 1, 2, -3 + 5) == (1, 1)
+
+
+def _lift_vs_sylvester(a_p, c_p, b, d, m, n_target):
+    # d' >= d exactly when a nonnegative (r, s) exists, and then the lift is
+    # the one sylvester_nonneg returns
+    m_p = math.gcd(a_p, c_p)
+    b_p, d_p = lemma_lift(a_p, c_p, b, d, m, n_target)
+    rs = sylvester_nonneg(a_p, c_p, m_p, (n_target - a_p * b - c_p * d) // (m * m_p))
+    assert (d_p >= d) == (rs is not None)
+    if rs is not None:
+        assert (b_p, d_p) == (b + m * rs[0], d + m * rs[1])
+    return b_p, d_p
 
 
 def test_lemma_lift_one_sided_matches_sylvester():
@@ -64,12 +78,7 @@ def test_lemma_lift_one_sided_matches_sylvester():
         for m, b, d in ((1, 1, 1), (2, 1, 3), (3, 2, 1)):
             for ell in range(-3, (a_p // m_p) * (c_p // m_p) + 2):
                 n_target = a_p * b + c_p * d + ell * m * m_p
-                got = lemma_lift(a_p, c_p, b, d, m, n_target, True)
-                rs = sylvester_nonneg(a_p, c_p, m_p, ell)
-                if rs is None:
-                    assert got is None
-                else:
-                    assert got == (b + m * rs[0], d + m * rs[1])
+                _lift_vs_sylvester(a_p, c_p, b, d, m, n_target)
 
 
 def test_lemma_lift_guaranteed_above_inequality():
@@ -81,9 +90,7 @@ def test_lemma_lift_guaranteed_above_inequality():
             lo = a_p * b + c_p * d + m * (a_p - m_p) * (c_p - m_p)
             for extra in range(0, 6):
                 n_target = lo + extra * m * m_p
-                got = lemma_lift(a_p, c_p, b, d, m, n_target, True)
-                assert got is not None
-                b_p, d_p = got
+                b_p, d_p = _lift_vs_sylvester(a_p, c_p, b, d, m, n_target)
                 assert a_p * b_p + c_p * d_p == n_target
                 assert b_p >= b and d_p >= d
 
@@ -197,6 +204,25 @@ def test_solve_dilated_examples():
     assert ok
 
     assert solve_dilated(Instance(2, 4, 6, 8, 10, 66)) is None
+
+
+def test_solve_dilated_verifies_each_certificate_once(monkeypatch):
+    calls = []
+
+    def counting(inst, w):
+        calls.append(inst)
+        return verify_witness(inst, w)
+
+    monkeypatch.setattr(witness, "verify_witness", counting)
+    # delta = 1: solve_class's check is the only one
+    inst = Instance(3, 5, 2, 2, 19, 152)
+    assert solve_dilated(inst)[1] == 1
+    assert calls == [inst]
+    # delta = 2: the reduced certificate and the scaled one are different
+    calls.clear()
+    inst = Instance(2, 4, 6, 8, 10, 76)
+    assert solve_dilated(inst)[1] == 2
+    assert calls == [Instance(1, 2, 3, 4, 5, 19), inst]
 
 
 def test_solve_dilated_coprime_falls_through():
