@@ -11,10 +11,10 @@ ends the run quietly with 141, the shell's status for a SIGPIPE death.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .iterated import IteratedSpec, solve_iterated
@@ -26,6 +26,7 @@ from .witness import (
     Witness,
     WitnessTrace,
     _solve_dilated_traced,
+    subgroup_witness,
     verify_witness,
 )
 
@@ -38,20 +39,11 @@ EXIT_INVARIANT = 3
 EXIT_BROKEN_PIPE = 128 + 13
 
 
-def _witness_dict(w: Witness) -> dict:
-    return {
-        "a_prime": w.a_prime,
-        "b_prime": w.b_prime,
-        "c_prime": w.c_prime,
-        "d_prime": w.d_prime,
-    }
-
-
 def _trace_dict(t: WitnessTrace) -> dict:
-    # Keys follow the dataclass, so --trace --json cannot drift from it.
-    obj = {f.name: getattr(t, f.name) for f in dataclasses.fields(t)}
-    i = t.instance
-    obj["instance"] = [i.a, i.b, i.c, i.d, i.m, i.N]
+    # Keys follow the dataclass, so --trace --json cannot drift from it; the
+    # instance is flattened to its values.
+    obj = asdict(t)
+    obj["instance"] = list(obj["instance"].values())
     return obj
 
 
@@ -73,7 +65,7 @@ def _cmd_witness(args) -> int:
         _emit(args, {"status": "not-member"}, "not-member")
         return EXIT_NEGATIVE
     w, delta, trace = got
-    obj = {"status": "witness", "delta": delta, "witness": _witness_dict(w)}
+    obj = {"status": "witness", "delta": delta, "witness": asdict(w)}
     lines = [f"delta={delta}", _witness_line(w)]
     if args.trace:
         obj["trace"] = _trace_dict(trace)
@@ -97,16 +89,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_threshold(args) -> int:
     rep = threshold_N0(args.a, args.b, args.c, args.d, args.m)
-    _emit(
-        args,
-        {
-            "N0": rep.N0,
-            "a_hi": rep.a_hi,
-            "c_hi": rep.c_hi,
-            "instance": list(rep.instance),
-        },
-        f"N0={rep.N0} a_hi={rep.a_hi} c_hi={rep.c_hi}",
-    )
+    _emit(args, asdict(rep), f"N0={rep.N0} a_hi={rep.a_hi} c_hi={rep.c_hi}")
     return EXIT_OK
 
 
@@ -115,7 +98,7 @@ def _cmd_progression(args) -> int:
     res = solve_progression(inst)
     obj: dict = {"status": res.status, "N0": res.threshold.N0}
     if res.witness is not None:
-        obj["witness"] = _witness_dict(res.witness)
+        obj["witness"] = asdict(res.witness)
         human = f"{res.status} {_witness_line(res.witness)} (N0={res.threshold.N0})"
     else:
         human = f"{res.status} (N0={res.threshold.N0})"
@@ -124,17 +107,13 @@ def _cmd_progression(args) -> int:
 
 
 def _cmd_subgroup(args) -> int:
-    from .witness import subgroup_witness
-
     sw = subgroup_witness(args.a, args.b, args.c, args.d, args.m, args.t)
     if sw is None:
         _emit(args, {"status": "not-member"}, "not-member")
         return EXIT_NEGATIVE
-    _emit(
-        args,
-        {"status": "witness", "w": sw.w, "x": sw.x, "y": sw.y, "z": sw.z, "t": sw.t},
-        f"w={sw.w} x={sw.x} y={sw.y} z={sw.z} t={sw.t}",
-    )
+    fields = asdict(sw)
+    human = " ".join(f"{name}={value}" for name, value in fields.items())
+    _emit(args, {"status": "witness", **fields}, human)
     return EXIT_OK
 
 
@@ -174,13 +153,6 @@ def _cmd_exceptions(args) -> int:
 
 def _cmd_grid(args) -> int:
     rep = grid_verify_theorem(m_max=args.m_max, k_window=args.window)
-    obj = {
-        "m_max": rep.m_max,
-        "k_window": rep.k_window,
-        "instances": rep.instances,
-        "values": rep.values,
-        "discrepancies": [list(d) for d in rep.discrepancies],
-    }
     human = (
         f"instances={rep.instances} values={rep.values} "
         f"discrepancies={len(rep.discrepancies)}"
@@ -188,19 +160,12 @@ def _cmd_grid(args) -> int:
     if not getattr(args, "json", False):
         for d in rep.discrepancies:
             print(f"DISCREPANCY {d}", file=sys.stderr)
-    _emit(args, obj, human)
+    _emit(args, asdict(rep), human)
     return EXIT_OK if rep.ok else EXIT_NEGATIVE
 
 
 def _cmd_demo(args) -> int:
     rep = strictness_demo(scan_bound=args.bound)
-    obj = {
-        "in_class": rep.in_class,
-        "in_product": rep.in_product,
-        "scan_bound": rep.scan_bound,
-        "non_representable": rep.non_representable,
-        "primes_found": rep.primes_found,
-    }
     lines = [
         f"53 in R_19(15): {rep.in_class}",
         f"53 in R_19(3)*R_19(5): {rep.in_product}",
@@ -208,7 +173,7 @@ def _cmd_demo(args) -> int:
         + (",".join(map(str, rep.non_representable)) or "(none)"),
         f"primes among them: " + (",".join(map(str, rep.primes_found)) or "(none)"),
     ]
-    _emit(args, obj, "\n".join(lines))
+    _emit(args, asdict(rep), "\n".join(lines))
     return EXIT_OK
 
 
@@ -219,6 +184,12 @@ def _int(s: str) -> int:
     if not body.isdigit():
         raise argparse.ArgumentTypeError(f"not a decimal integer: {s!r}")
     return int(s)
+
+
+def _operands(p: argparse.ArgumentParser, names: str) -> None:
+    # One positional integer per space-separated name, in order.
+    for name in names.split():
+        p.add_argument(name, type=_int)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -238,44 +209,30 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("witness", parents=[shared], help="solve N = a'b' + c'd'")
-    for name in "abcd":
-        p.add_argument(name, type=_int)
-    p.add_argument("m", type=_int)
-    p.add_argument("N", type=_int)
+    _operands(p, "a b c d m N")
     p.add_argument("--trace", action="store_true", help="print the full pipeline trace")
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("check", parents=[shared], help="verify a witness certificate")
-    for name in "abcd":
-        p.add_argument(name, type=_int)
-    p.add_argument("m", type=_int)
-    p.add_argument("N", type=_int)
+    _operands(p, "a b c d m N")
     for name in ("ap", "bp", "cp", "dp"):
         p.add_argument(name, type=_int, metavar=name[0] + "'")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("threshold", parents=[shared], help="explicit threshold N0")
-    for name in "abcd":
-        p.add_argument(name, type=_int)
-    p.add_argument("m", type=_int)
+    _operands(p, "a b c d m")
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser(
         "progression", parents=[shared], help="one-sided (progression) witness"
     )
-    for name in "abcd":
-        p.add_argument(name, type=_int)
-    p.add_argument("m", type=_int)
-    p.add_argument("N", type=_int)
+    _operands(p, "a b c d m N")
     p.set_defaults(func=_cmd_progression)
 
     p = sub.add_parser(
         "subgroup", parents=[shared], help="witness t = aw+bx+cy+dz+m(wx+yz)"
     )
-    for name in "abcd":
-        p.add_argument(name, type=_int)
-    p.add_argument("m", type=_int)
-    p.add_argument("t", type=_int)
+    _operands(p, "a b c d m t")
     p.set_defaults(func=_cmd_subgroup)
 
     p = sub.add_parser(
@@ -283,17 +240,14 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[shared],
         help="iterated sums of products; terms as k:c1,c2,...",
     )
-    p.add_argument("m", type=_int)
-    p.add_argument("N", type=_int)
+    _operands(p, "m N")
     p.add_argument("terms", nargs="+", help="one k:c1,...,ck token per term")
     p.set_defaults(func=_cmd_iterate)
 
     p = sub.add_parser(
         "exceptions", parents=[shared], help="unrepresentable progression members"
     )
-    for name in "abcd":
-        p.add_argument(name, type=_int)
-    p.add_argument("m", type=_int)
+    _operands(p, "a b c d m")
     p.add_argument("--cap", type=_int, required=True, help="inclusive scan bound")
     p.set_defaults(func=_cmd_exceptions)
 
@@ -315,6 +269,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv and dispatch; returns the process exit code."""
+    # A certificate can have more digits than the interpreter's default
+    # int-to-str limit (4300) allows; lift the limit for this call only.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _dispatch(argv)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _dispatch(argv: Optional[Sequence[str]]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -9,11 +9,9 @@ deterministic, and never touches floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 __all__ = [
-    "ExtGcd",
     "ext_gcd",
     "is_prime",
     "solve_linear3",
@@ -27,22 +25,13 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 
 
-@dataclass(frozen=True)
-class ExtGcd:
-    """Extended-Euclid result: g = gcd(x, y) >= 0 and s*x + t*y = g."""
-
-    g: int
-    s: int
-    t: int
-
-
-def ext_gcd(x: int, y: int) -> ExtGcd:
+def ext_gcd(x: int, y: int) -> tuple[int, int, int]:
     """Return (g, s, t) with s*x + t*y = g = gcd(x, y) >= 0.
 
     ext_gcd(0, 0) = (0, 0, 0) by convention, which keeps solve_linear3 total.
     """
     if x == 0 and y == 0:
-        return ExtGcd(0, 0, 0)
+        return 0, 0, 0
     old_r, r = x, y
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -53,7 +42,7 @@ def ext_gcd(x: int, y: int) -> ExtGcd:
         old_t, t = t, old_t - q * t
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return ExtGcd(old_r, old_s, old_t)
+    return old_r, old_s, old_t
 
 
 def is_prime(n: int) -> bool:
@@ -92,15 +81,14 @@ def solve_linear3(b: int, d: int, mp: int, k: int) -> Optional[tuple[int, int, i
     Nested extended gcd; no attempt to minimize the solution (callers that
     need a canonical range reduce it themselves).
     """
-    e1 = ext_gcd(b, d)
-    e2 = ext_gcd(e1.g, mp)
-    g = e2.g
+    g1, s1, t1 = ext_gcd(b, d)
+    g, s2, t2 = ext_gcd(g1, mp)
     if g == 0:
         return (0, 0, 0) if k == 0 else None
     if k % g != 0:
         return None
     q = k // g
-    return (e1.s * e2.s * q, e1.t * e2.s * q, e2.t * q)
+    return (s1 * s2 * q, t1 * s2 * q, t2 * q)
 
 
 def _least_r_lift(a: int, c: int, mp: int, ell: int) -> tuple[int, int]:
@@ -108,8 +96,8 @@ def _least_r_lift(a: int, c: int, mp: int, ell: int) -> tuple[int, int]:
     least r >= 0, so 0 <= r < |c|/mp.  For c = 0 the solution has s = 0.
     """
     big_a, big_c = a // mp, c // mp
-    e = ext_gcd(big_a, big_c)  # e.g == 1
-    r0, s0 = e.s * ell, e.t * ell
+    _, s, t = ext_gcd(big_a, big_c)  # the gcd is 1
+    r0, s0 = s * ell, t * ell
     if big_c == 0:
         return r0, s0
     # General solution (r0 + big_c*t, s0 - big_a*t); reduce r into [0, |big_c|).

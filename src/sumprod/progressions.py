@@ -130,4 +130,8 @@ def exceptional_set(
     if cap < base:
         return []
     mask = _oracle.progression_sums_mask(a, b, c, d, m, cap)
-    return [n for n in range(base, cap + 1, m) if not (mask >> n) & 1]
+    # Read the bits once (bits[n] is bit n): a shift per member would copy
+    # the cap-bit mask each time.
+    bits = format(mask, "b").zfill(cap + 1)[::-1]
+    members = range(base, cap + 1, m)
+    return [n for n, bit in zip(members, bits[base::m]) if bit == "0"]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sumprod import InternalInvariantError, WitnessTrace
+from sumprod import GridReport, InternalInvariantError, Witness, WitnessTrace
 from sumprod.cli import run
 
 
@@ -174,6 +174,20 @@ def test_grid(capsys):
     assert obj["discrepancies"] == [] and obj["instances"] == 17
 
 
+def test_grid_discrepancy_json(capsys, monkeypatch):
+    # a discrepancy that carries the failing witness prints it as an object
+    bad = (1, 1, 1, 1, 1, 2, "verify-failed", Witness(1, 1, 1, 2))
+    report = GridReport(m_max=1, k_window=0, instances=1, values=1,
+                        discrepancies=[bad])
+    monkeypatch.setattr("sumprod.cli.grid_verify_theorem", lambda **kw: report)
+    code, out, err = run_cap(capsys, ["--json", "grid"])
+    assert code == 1 and not err
+    assert json.loads(out)["discrepancies"] == [[
+        1, 1, 1, 1, 1, 2, "verify-failed",
+        {"a_prime": 1, "b_prime": 1, "c_prime": 1, "d_prime": 2},
+    ]]
+
+
 def test_demo_contains_53(capsys):
     code, out, _ = run_cap(capsys, ["demo"])
     assert code == 0
@@ -207,6 +221,23 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
     code, out, err = run_cap(capsys, ["witness", "1", "1", "1", "1", "2", "4"])
     assert code == 3
     assert "invariant" in err
+
+
+def test_witness_longer_than_int_str_limit(capsys):
+    # b' has 4501 digits, past the interpreter's default int-to-str limit
+    limit = sys.get_int_max_str_digits()
+    big_m = 10**1500 + 7
+    operands = ["3", "5", "2", "2", str(big_m), str(19 + big_m * 10**1500)]
+    code, out, _ = run_cap(capsys, ["witness", *operands])
+    assert code == 0
+    fields = dict(tok.split("=") for tok in out.splitlines()[1].split())
+    assert len(fields["b'"]) > 4300
+    code, out, _ = run_cap(
+        capsys,
+        ["check", *operands, fields["a'"], fields["b'"], fields["c'"], fields["d'"]],
+    )
+    assert code == 0 and out == "valid\n"
+    assert sys.get_int_max_str_digits() == limit  # lifted only for the call
 
 
 def test_big_integer_arguments(capsys):
@@ -249,6 +280,20 @@ GOLDEN = {
     ),
     ("progression", "1", "1", "1", "1", "2", "4"): (
         '{"status": "below-threshold-failure", "N0": 864}'
+    ),
+    ("threshold", "1", "1", "1", "1", "2"): (
+        '{"N0": 864, "a_hi": 9, "c_hi": 45, "instance": [1, 1, 1, 1, 2]}'
+    ),
+    ("subgroup", "2", "4", "6", "8", "10", "2"): (
+        '{"status": "witness", "w": 14, "x": 0, "y": -1, "z": 10, "t": 2}'
+    ),
+    ("grid", "--m-max", "2", "--window", "4"): (
+        '{"m_max": 2, "k_window": 4, "instances": 17, "values": 153, '
+        '"discrepancies": []}'
+    ),
+    ("demo", "--bound", "100"): (
+        '{"in_class": true, "in_product": false, "scan_bound": 100, '
+        '"non_representable": [34, 53, 91], "primes_found": [53]}'
     ),
 }
 

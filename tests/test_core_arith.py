@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumprod import (
-    ExtGcd,
     ext_gcd,
     is_prime,
     solve_linear3,
@@ -17,22 +16,22 @@ DET = settings(max_examples=300, derandomize=True, deadline=None)
 # ---------------------------------------------------------------- ext_gcd
 
 def test_ext_gcd_examples():
-    e = ext_gcd(12, 18)
-    assert e.g == 6 and e.s * 12 + e.t * 18 == 6
-    assert ext_gcd(0, 0) == ExtGcd(0, 0, 0)
-    e = ext_gcd(3, 5)
-    assert e.g == 1 and e.s * 3 + e.t * 5 == 1
+    g, s, t = ext_gcd(12, 18)
+    assert g == 6 and s * 12 + t * 18 == 6
+    assert ext_gcd(0, 0) == (0, 0, 0)
+    g, s, t = ext_gcd(3, 5)
+    assert g == 1 and s * 3 + t * 5 == 1
 
 
 @DET
 @given(st.integers(-10**4, 10**4), st.integers(-10**4, 10**4))
 def test_ext_gcd_identity(x, y):
-    e = ext_gcd(x, y)
-    assert e.s * x + e.t * y == e.g
-    assert e.g == math.gcd(x, y)
-    assert e.g >= 0
-    if e.g:
-        assert x % e.g == 0 and y % e.g == 0
+    g, s, t = ext_gcd(x, y)
+    assert s * x + t * y == g
+    assert g == math.gcd(x, y)
+    assert g >= 0
+    if g:
+        assert x % g == 0 and y % g == 0
 
 
 # ---------------------------------------------------------------- is_prime

@@ -127,6 +127,18 @@ def test_exceptional_set_members_rechecked():
         assert (mask >> n) & 1
 
 
+@pytest.mark.parametrize("a, b, c, d, m", [(1, 1, 1, 1, 3), (2, 1, 1, 2, 3)])
+def test_exceptional_set_matches_oracle(a, b, c, d, m):
+    # a member is listed exactly when the oracle finds no decomposition
+    cap = 600
+    expected = [
+        n
+        for n in range(a * b + c * d, cap + 1, m)
+        if not oracle_member_progression(Instance(a, b, c, d, m, n))[0]
+    ]
+    assert exceptional_set(a, b, c, d, m, cap) == expected
+
+
 def test_exceptional_set_cap_semantics():
     a, b, c, d, m = 2, 1, 1, 2, 3
     full = exceptional_set(a, b, c, d, m, 500)
