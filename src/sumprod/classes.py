@@ -1,5 +1,5 @@
-"""Congruence classes, infinite arithmetic progressions, dilations, and exact
-membership tests for their product sets.
+"""Congruence classes, infinite arithmetic progressions, and exact membership
+tests for their product sets.
 
 A congruence class R_m(a) is {a + i*m : i in Z}; a progression P_m(a) is the
 one-sided version {a + i*m : i >= 0}.  Product-set membership is decided by
@@ -18,7 +18,6 @@ __all__ = [
     "Progression",
     "product_class_contains",
     "progression_product_contains",
-    "dilate",
 ]
 
 
@@ -122,9 +121,3 @@ def progression_product_contains(
             return True, (x, y)
     return False, None
 
-
-def dilate(cls: CongruenceClass, delta: int) -> CongruenceClass:
-    """delta * R_m(a) = R_{delta*m}(delta*a)."""
-    if delta < 1:
-        raise ValueError(f"dilation factor must be >= 1, got {delta}")
-    return CongruenceClass(delta * cls.a, delta * cls.m)

@@ -97,6 +97,14 @@ def _least_r_lift(a: int, c: int, mp: int, ell: int) -> tuple[int, int]:
     """
     big_a, big_c = a // mp, c // mp
     _, s, t = ext_gcd(big_a, big_c)  # the gcd is 1
+    return _least_r_from_bezout(big_a, big_c, s, t, ell)
+
+
+def _least_r_from_bezout(
+    big_a: int, big_c: int, s: int, t: int, ell: int
+) -> tuple[int, int]:
+    # Given s*big_a + t*big_c = 1: the solution of big_a*r + big_c*s' = ell
+    # with the least r >= 0.  For big_c = 0, r = s*ell is forced and s' = t*ell.
     r0, s0 = s * ell, t * ell
     if big_c == 0:
         return r0, s0

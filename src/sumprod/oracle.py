@@ -150,6 +150,8 @@ def progression_sums_mask(
     Exhaustive enumeration of both product sides; complete below cap for the
     same reason oracle_member_progression is.
     """
+    if m < 1:
+        raise ValueError(f"modulus must be >= 1, got {m}")
     if min(a, b, c, d) < 1:
         raise ValueError("progression templates must be positive")
     if cap < a * b + c * d:

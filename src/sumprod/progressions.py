@@ -71,6 +71,8 @@ def threshold_N0(a: int, b: int, c: int, d: int, m: int) -> ThresholdReport:
 
 
 def _check_preconditions(a: int, b: int, c: int, d: int, m: int) -> None:
+    if m < 1:
+        raise ValueError(f"modulus must be >= 1, got {m}")
     if min(a, b, c, d) < 1:
         raise ValueError("progression templates must be positive")
     if math.gcd(a, b, c, d, m) != 1:

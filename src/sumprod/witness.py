@@ -6,18 +6,21 @@ every intermediate in a WitnessTrace: solve b*x + d*y + m'*z = k, reduce x, y
 into fixed windows, shift (a0, c0) by the smallest multiple of m that leaves
 gcd(a1, c1) with m'-part exactly m', shift c1 by the smallest multiple of
 m*m' that clears the remaining prime interference, and finish with a
-size-reduced Bezout lift of (b, d).  Every trace field has an invariant that
-is a theorem; a violation is a bug, never an input condition, and raises
-InternalInvariantError.
+size-reduced Bezout lift of (b, d).  Every step before the lift depends on
+the target only through k mod m', so that half is built once per
+(template, k mod m') row and cached.  Every trace field has an invariant that
+is a theorem, re-checked on every solve; a violation is a bug, never an
+input condition, and raises InternalInvariantError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core_arith import _least_r_lift, solve_linear3
+from .core_arith import _least_r_from_bezout, _least_r_lift, ext_gcd, solve_linear3
 
 __all__ = [
     "Instance",
@@ -143,6 +146,34 @@ def _component_box(a: int, b: int, c: int, d: int, m: int) -> tuple[int, int]:
     return a + (d + 1) * mm, c + (a + b + 1) * mm + (d + 1) * mm * mm
 
 
+# The names of validate_trace's checks, in the order it evaluates them.
+_TRACE_CHECKS = (
+    "m_prime",
+    "k",
+    "eq_A",
+    "x_prime_window",
+    "y_prime_window",
+    "eq_B_x",
+    "eq_B_y",
+    "a0",
+    "c0",
+    "u_window",
+    "a1",
+    "c1",
+    "u_gcd",
+    "v_window",
+    "a_prime",
+    "c_prime",
+    "gcd_final",
+    "congruence_mm",
+    "ineq2_a",
+    "ineq2_c",
+    "ell",
+    "lift",
+    "r_window",
+)
+
+
 def validate_trace(trace: WitnessTrace) -> None:
     """Re-check every trace invariant; raise InternalInvariantError on failure.
 
@@ -154,37 +185,36 @@ def validate_trace(trace: WitnessTrace) -> None:
     a, b, c, d, m, n_target = i.a, i.b, i.c, i.d, i.m, i.N
     mp = t.m_prime
     a_hi, c_hi = _component_box(a, b, c, d, m)
-    checks = {
-        "m_prime": mp == math.gcd(a, c, m),
-        "k": n_target == a * b + c * d + t.k * m,
-        "eq_A": b * t.x + d * t.y + mp * t.z == t.k,
-        "x_prime_window": 0 <= t.x_prime <= mp - 1,
-        "y_prime_window": b * m <= t.y_prime <= b * m + mp - 1,
-        "eq_B_x": t.x == t.q_x * mp + t.x_prime,
-        "eq_B_y": t.y == t.q_y * mp + t.y_prime,
-        "a0": t.a0 == a + m * t.x_prime,
-        "c0": t.c0 == c + m * t.y_prime,
-        "u_window": 0 <= t.u < mp,
-        "a1": t.a1 == t.a0 + d * m * t.u,
-        "c1": t.c1 == t.c0 - b * m * t.u,
-        "u_gcd": math.gcd(math.gcd(t.a1, t.c1) // mp, mp) == 1,
-        "v_window": 0 <= t.v <= t.a1,
-        "a_prime": t.a_prime == t.a1,
-        "c_prime": t.c_prime == t.c1 + m * mp * t.v,
-        "gcd_final": math.gcd(t.a_prime, t.c_prime) == mp,
-        "congruence_mm": (n_target - (t.a_prime * b + t.c_prime * d)) % (m * mp)
-        == 0,
-        "ineq2_a": a <= t.a_prime <= a_hi,
-        "ineq2_c": c <= t.c_prime <= c_hi,
-        "ell": t.ell * (m * mp) == n_target - (t.a_prime * b + t.c_prime * d),
-        "lift": t.a_prime * t.r + t.c_prime * t.s == t.ell * mp,
-        "r_window": 0 <= t.r < t.c_prime // mp,
-    }
-    failed = [name for name, ok in checks.items() if not ok]
-    if failed:
-        raise InternalInvariantError(
-            f"trace invariants violated: {failed}; trace={t!r}"
-        )
+    rem = n_target - (t.a_prime * b + t.c_prime * d)
+    oks = (
+        mp == math.gcd(a, c, m),
+        n_target == a * b + c * d + t.k * m,
+        b * t.x + d * t.y + mp * t.z == t.k,
+        0 <= t.x_prime <= mp - 1,
+        b * m <= t.y_prime <= b * m + mp - 1,
+        t.x == t.q_x * mp + t.x_prime,
+        t.y == t.q_y * mp + t.y_prime,
+        t.a0 == a + m * t.x_prime,
+        t.c0 == c + m * t.y_prime,
+        0 <= t.u < mp,
+        t.a1 == t.a0 + d * m * t.u,
+        t.c1 == t.c0 - b * m * t.u,
+        math.gcd(math.gcd(t.a1, t.c1) // mp, mp) == 1,
+        0 <= t.v <= t.a1,
+        t.a_prime == t.a1,
+        t.c_prime == t.c1 + m * mp * t.v,
+        math.gcd(t.a_prime, t.c_prime) == mp,
+        rem % (m * mp) == 0,
+        a <= t.a_prime <= a_hi,
+        c <= t.c_prime <= c_hi,
+        t.ell * (m * mp) == rem,
+        t.a_prime * t.r + t.c_prime * t.s == t.ell * mp,
+        0 <= t.r < t.c_prime // mp,
+    )
+    if all(oks):
+        return
+    failed = [name for name, ok in zip(_TRACE_CHECKS, oks) if not ok]
+    raise InternalInvariantError(f"trace invariants violated: {failed}; trace={t!r}")
 
 
 def lemma_lift(
@@ -211,24 +241,27 @@ def lemma_lift(
     return b + m * r, d + m * s
 
 
-def _solve_core(
-    a: int, b: int, c: int, d: int, m: int, N: int
-) -> tuple[Witness, WitnessTrace]:
-    # Pre: a, b, c, d >= 1, gcd(a, b, c, d, m) = 1, N ≡ ab + cd (mod m).
-    # The witness is integral; the one-sided caller checks d' >= d itself.
-    k = (N - (a * b + c * d)) // m
+# Rows _row keeps at once.  A template has at most m' <= m rows, and callers
+# visit a template's targets back to back, so a small cache is reused.
+_ROW_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_ROW_CACHE_SIZE)
+def _row(a: int, b: int, c: int, d: int, m: int, k_res: int) -> tuple[int, ...]:
+    # The pipeline up to (a', c'), which depends on the target only through
+    # k_res = k mod m'.  gcd(b, d, m') = gcd(a, b, c, d, m) = 1, so
+    # k*(x1, y1, z1) is exactly the solution solve_linear3(b, d, m', k)
+    # returns, and x', y' are read off k_res*(x1, y1).
     m_p = math.gcd(a, c, m)
-    sol = solve_linear3(b, d, m_p, k)
-    if sol is None:
+    unit = solve_linear3(b, d, m_p, 1)
+    if unit is None:
         raise InternalInvariantError(
-            f"b*x + d*y + m'*z = k unsolvable with gcd 1: "
-            f"(a,b,c,d,m,N)=({a},{b},{c},{d},{m},{N})"
+            f"b*x + d*y + m'*z = 1 unsolvable with gcd 1: "
+            f"(a,b,c,d,m)=({a},{b},{c},{d},{m})"
         )
-    x, y, z = sol
-    x_p = x % m_p
-    y_p = b * m + ((y - b * m) % m_p)
-    q_x = (x - x_p) // m_p
-    q_y = (y - y_p) // m_p
+    x1, y1, z1 = unit
+    x_p = k_res * x1 % m_p
+    y_p = b * m + ((k_res * y1 - b * m) % m_p)
     a0 = a + m * x_p
     c0 = c + m * y_p
 
@@ -254,33 +287,49 @@ def _solve_core(
     else:
         raise InternalInvariantError(f"no v-shift up to a1={a1} for c1={c1}")
 
-    b_p, d_p = lemma_lift(a_p, c_p, b, d, m, N)
-    ell = (N - (a_p * b + c_p * d)) // (m * m_p)
+    big_a, big_c = a_p // m_p, c_p // m_p
+    _, bez_s, bez_t = ext_gcd(big_a, big_c)  # the gcd is 1
+    return x1, y1, z1, x_p, y_p, a0, c0, u, a1, c1, v, c_p, big_a, big_c, bez_s, bez_t
+
+
+def _solve_core(
+    a: int, b: int, c: int, d: int, m: int, N: int
+) -> tuple[Witness, WitnessTrace]:
+    # Pre: a, b, c, d >= 1, gcd(a, b, c, d, m) = 1, N ≡ ab + cd (mod m).
+    # The witness is integral; the one-sided caller checks d' >= d itself.
+    k = (N - (a * b + c * d)) // m
+    m_p = math.gcd(a, c, m)
+    (x1, y1, z1, x_p, y_p, a0, c0, u, a1, c1, v, c_p, big_a, big_c, bez_s,
+     bez_t) = _row(a, b, c, d, m, k % m_p)
+    x, y = k * x1, k * y1
+    # The lift of (b, d), as lemma_lift takes it; a' = a1.
+    ell = (N - (a1 * b + c_p * d)) // (m * m_p)
+    r, s = _least_r_from_bezout(big_a, big_c, bez_s, bez_t, ell)
     trace = WitnessTrace(
         instance=Instance(a, b, c, d, m, N),
         m_prime=m_p,
         k=k,
         x=x,
         y=y,
-        z=z,
+        z=k * z1,
         x_prime=x_p,
         y_prime=y_p,
-        q_x=q_x,
-        q_y=q_y,
+        q_x=(x - x_p) // m_p,
+        q_y=(y - y_p) // m_p,
         a0=a0,
         c0=c0,
         u=u,
         a1=a1,
         c1=c1,
         v=v,
-        a_prime=a_p,
+        a_prime=a1,
         c_prime=c_p,
         ell=ell,
-        r=(b_p - b) // m,
-        s=(d_p - d) // m,
+        r=r,
+        s=s,
     )
     validate_trace(trace)
-    return Witness(a_p, b_p, c_p, d_p), trace
+    return Witness(a1, b + m * r, c_p, d + m * s), trace
 
 
 def solve_class(inst: Instance) -> Optional[tuple[Witness, WitnessTrace]]:

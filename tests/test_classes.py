@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from sumprod import (
     CongruenceClass,
     Progression,
-    dilate,
     product_class_contains,
     progression_product_contains,
 )
@@ -133,23 +132,3 @@ def test_progression_validation():
         Progression(3, 0)
     with pytest.raises(ValueError):
         progression_product_contains(Progression(1, 2), Progression(1, 3), 6)
-
-
-def test_dilate_examples():
-    assert dilate(CongruenceClass(1, 3), 2) == CongruenceClass(2, 6)
-    assert dilate(CongruenceClass(0, 5), 3) == CongruenceClass(0, 15)
-    assert dilate(CongruenceClass(3, 4), 1) == CongruenceClass(3, 4)
-    with pytest.raises(ValueError):
-        dilate(CongruenceClass(1, 3), 0)
-
-
-@DET
-@given(
-    st.integers(1, 20),
-    st.integers(-50, 50),
-    st.integers(1, 9),
-    st.integers(-400, 400),
-)
-def test_dilate_membership(m, a, delta, n):
-    cls = CongruenceClass(a, m)
-    assert cls.contains(n) == dilate(cls, delta).contains(delta * n)

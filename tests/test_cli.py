@@ -167,6 +167,13 @@ def test_exceptions_sorted(capsys):
     assert exc == sorted(exc)
 
 
+@pytest.mark.parametrize("m", ["0", "-2"])
+def test_exceptions_refuses_nonpositive_modulus(capsys, m):
+    code, out, err = run_cap(capsys, ["exceptions", "1", "1", "1", "1", m, "--cap", "10"])
+    assert code == 2 and out == ""
+    assert err == f"error: modulus must be >= 1, got {m}\n"
+
+
 def test_grid(capsys):
     code, out, _ = run_cap(capsys, ["--json", "grid", "--m-max", "2", "--window", "4"])
     assert code == 0

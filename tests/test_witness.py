@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from sumprod import (
     oracle_member_class,
     solve_class,
     solve_dilated,
+    solve_linear3,
     subgroup_witness,
     sylvester_nonneg,
     validate_trace,
@@ -188,6 +190,109 @@ def test_trace_invariants_reported_on_tampering():
     assert "'u_window'" in _violations(trace, u=trace.m_prime)
     skipped = _violations(trace, u=0, a1=trace.a0, c1=trace.c0)
     assert "'u_gcd'" in skipped and "'a1'" not in skipped
+
+
+# One single-field tamper per check of validate_trace, on the trace of
+# Instance(4, 2, 4, 3, 4, 8): m' = 4, u = 1, a' = 28, c' = 32 (box 68, 1140).
+_TAMPERS = {
+    "m_prime": lambda t: {"m_prime": 2 * t.m_prime},
+    "k": lambda t: {"k": t.k + 1},
+    "eq_A": lambda t: {"z": t.z + 1},
+    "x_prime_window": lambda t: {"x_prime": t.m_prime},
+    "y_prime_window": lambda t: {"y_prime": t.y_prime + t.m_prime},
+    "eq_B_x": lambda t: {"q_x": t.q_x + 1},
+    "eq_B_y": lambda t: {"q_y": t.q_y + 1},
+    "a0": lambda t: {"a0": t.a0 + 1},
+    "c0": lambda t: {"c0": t.c0 + 1},
+    "u_window": lambda t: {"u": t.m_prime},
+    "a1": lambda t: {"a1": t.a1 + 1},
+    "c1": lambda t: {"c1": t.c1 + 1},
+    # the u = 0 row: gcd(a0, c0) = 16 keeps a factor 2 of m' beyond m'
+    "u_gcd": lambda t: {"a1": t.a0},
+    "v_window": lambda t: {"v": -1},
+    "a_prime": lambda t: {"a_prime": t.a_prime + 1},
+    "c_prime": lambda t: {"c_prime": t.c_prime + 1},
+    "gcd_final": lambda t: {"c_prime": 2 * t.a_prime},
+    "congruence_mm": lambda t: {
+        "instance": dataclasses.replace(t.instance, N=t.instance.N + 1)
+    },
+    "ineq2_a": lambda t: {"a_prime": 0},
+    "ineq2_c": lambda t: {"c_prime": 0},
+    "ell": lambda t: {"ell": t.ell + 1},
+    "lift": lambda t: {"s": t.s + 1},
+    "r_window": lambda t: {"r": -1},
+}
+
+
+def test_every_trace_check_has_a_tamper():
+    assert len(witness._TRACE_CHECKS) == 23
+    assert set(_TAMPERS) == set(witness._TRACE_CHECKS)
+
+
+@pytest.mark.parametrize("name", sorted(_TAMPERS))
+def test_trace_check_reported_by_name(name):
+    # a failing check must be reported under its own name, which guards the
+    # positional pairing of the check tuple with the name tuple
+    _, trace = solve_class(Instance(4, 2, 4, 3, 4, 8))
+    validate_trace(trace)
+    tampered = _TAMPERS[name](trace)
+    assert len(tampered) == 1
+    assert f"'{name}'" in _violations(trace, **tampered)
+
+
+# ---------------------------------------------------------------- row cache
+
+def test_row_cache_builds_a_template_once(monkeypatch):
+    # m' = gcd(3, 2, 19) = 1: all 61 targets share one row, so the
+    # b*x + d*y + m'*z = 1 solve runs once
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solve_linear3(*args)
+
+    monkeypatch.setattr(witness, "solve_linear3", counting)
+    witness._row.cache_clear()
+    a, b, c, d, m = 3, 5, 2, 2, 19
+    for t in range(-30, 31):
+        inst = Instance(a, b, c, d, m, a * b + c * d + t * m)
+        assert verify_witness(inst, solve_class(inst)[0])
+    assert len(calls) == 1
+
+
+def _grid_outputs(instances):
+    out = {}
+    for inst in instances:
+        w, delta, trace = witness._solve_dilated_traced(inst)
+        out[inst] = (dataclasses.asdict(w), delta, dataclasses.asdict(trace))
+    return out
+
+
+def test_row_cache_order_independent_and_bounded():
+    instances = []
+    for m in range(1, 5):
+        for a, b, c, d in itertools.product(range(1, m + 1), repeat=4):
+            step = math.gcd(a, b, c, d, m) * m
+            instances.extend(
+                Instance(a, b, c, d, m, a * b + c * d + t * step)
+                for t in range(-10, 11)
+            )
+    witness._row.cache_clear()
+    in_order = _grid_outputs(instances)
+    shuffled = list(instances)
+    random.Random(6).shuffle(shuffled)
+    witness._row.cache_clear()
+    assert _grid_outputs(shuffled) == in_order
+
+    rng = random.Random(64)
+    for _ in range(500):
+        m = rng.getrandbits(63) | (1 << 63)
+        a, b, c, d = (rng.randint(1, m) for _ in range(4))
+        step = math.gcd(a, b, c, d, m) * m
+        inst = Instance(a, b, c, d, m, a * b + c * d + rng.getrandbits(64) * step)
+        assert verify_witness(inst, solve_dilated(inst)[0])
+    info = witness._row.cache_info()
+    assert info.currsize <= info.maxsize == witness._ROW_CACHE_SIZE
 
 
 # ---------------------------------------------------------------- solve_dilated
