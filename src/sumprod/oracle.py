@@ -18,10 +18,10 @@ from typing import Callable, Iterator, Optional, Sequence
 from .classes import (
     CongruenceClass,
     Progression,
+    _positive_divisors,
     product_class_contains,
     progression_product_contains,
 )
-from .core_arith import is_prime
 from .witness import Instance, Witness, solve_dilated, verify_witness
 
 __all__ = [
@@ -253,9 +253,14 @@ def grid_verify_theorem(
 
     `corrupt` mutates each witness before verification; it exists so the
     harness can prove to itself that an injected fault is actually caught.
+    A sweep that would check nothing (m_max < 1 or k_window < 0) is refused.
     """
     if m_max > 12:
         raise ValueError("sweep cap is m_max <= 12")
+    if m_max < 1:
+        raise ValueError(f"m_max must be >= 1, got {m_max}")
+    if k_window < 0:
+        raise ValueError(f"k_window must be >= 0, got {k_window}")
     report = GridReport(m_max=m_max, k_window=k_window)
     for m in range(1, m_max + 1):
         for c, d in itertools.product(range(1, m + 1), repeat=2):
@@ -263,7 +268,7 @@ def grid_verify_theorem(
             for a, b in itertools.product(range(1, m + 1), repeat=2):
                 base = a * b + c * d
                 dm = math.gcd(a, b, c, d, m) * m
-                far = Instance(a, b, c, d, m, base + abs(k_window) * dm)
+                far = Instance(a, b, c, d, m, base + k_window * dm)
                 group.append((a, b, base, dm, SearchBox.default_for(far)))
             # One class-side table per (m, c, d).  Boxes are centred, so the
             # largest holds every other one: a table over it can only let an
@@ -337,7 +342,8 @@ def strictness_demo(scan_bound: int = 1000) -> StrictnessReport:
         for n in range(15, scan_bound + 1, 19)
         if not progression_product_contains(p3, p5, n)[0]
     ]
-    primes = [n for n in missing if is_prime(n)]
+    # Exact at every size: n >= 2 is prime exactly when its divisors are 1, n.
+    primes = [n for n in missing if _positive_divisors(n) == [1, n]]
     return StrictnessReport(
         in_class=in_class,
         in_product=in_product,

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core_arith import _least_r_from_bezout, _least_r_lift, ext_gcd, solve_linear3
+from .core_arith import _least_r_from_bezout, ext_gcd
 
 __all__ = [
     "Instance",
@@ -28,7 +28,6 @@ __all__ = [
     "WitnessTrace",
     "SubgroupWitness",
     "InternalInvariantError",
-    "lemma_lift",
     "solve_class",
     "solve_dilated",
     "subgroup_witness",
@@ -217,30 +216,6 @@ def validate_trace(trace: WitnessTrace) -> None:
     raise InternalInvariantError(f"trace invariants violated: {failed}; trace={t!r}")
 
 
-def lemma_lift(
-    a_p: int, c_p: int, b: int, d: int, m: int, N: int
-) -> tuple[int, int]:
-    """Lift (b, d) to (b', d') with b' ≡ b, d' ≡ d (mod m) and a'b' + c'd' = N.
-
-    Requires N ≡ a'b + c'd (mod m*m') where m' = gcd(a', c'); violating that
-    is a caller error.  The lift is b' = b + m*r, d' = d + m*s with the least
-    r >= 0, so 0 <= r < |c'|/m' when c' != 0.  For positive a', c' that r
-    leaves the largest s, so a lift with b' >= b, d' >= d exists exactly when
-    this one has d' >= d; it always does once
-    N >= a'b + c'd + m(a' - m')(c' - m').
-    """
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    m_p = math.gcd(a_p, c_p)
-    if m_p == 0:
-        raise ValueError("a' = c' = 0 admits no lift")
-    rem = N - (a_p * b + c_p * d)
-    if rem % (m * m_p) != 0:
-        raise ValueError("N !≡ a'b + c'd (mod m*m')")
-    r, s = _least_r_lift(a_p, c_p, m_p, rem // (m * m_p))
-    return b + m * r, d + m * s
-
-
 # Rows _row keeps at once.  A template has at most m' <= m rows, and callers
 # visit a template's targets back to back, so a small cache is reused.
 _ROW_CACHE_SIZE = 64
@@ -249,17 +224,17 @@ _ROW_CACHE_SIZE = 64
 @functools.lru_cache(maxsize=_ROW_CACHE_SIZE)
 def _row(a: int, b: int, c: int, d: int, m: int, k_res: int) -> tuple[int, ...]:
     # The pipeline up to (a', c'), which depends on the target only through
-    # k_res = k mod m'.  gcd(b, d, m') = gcd(a, b, c, d, m) = 1, so
-    # k*(x1, y1, z1) is exactly the solution solve_linear3(b, d, m', k)
-    # returns, and x', y' are read off k_res*(x1, y1).
+    # k_res = k mod m'.  (x1, y1, z1) solves b*x + d*y + m'*z = 1 by nested
+    # extended gcd, which gcd(b, d, m') = gcd(a, b, c, d, m) = 1 allows; so
+    # k*(x1, y1, z1) solves it for k, and x', y' are read off k_res*(x1, y1).
     m_p = math.gcd(a, c, m)
-    unit = solve_linear3(b, d, m_p, 1)
-    if unit is None:
+    g_bd, s1, t1 = ext_gcd(b, d)
+    g, s2, t2 = ext_gcd(g_bd, m_p)
+    if g != 1:
         raise InternalInvariantError(
-            f"b*x + d*y + m'*z = 1 unsolvable with gcd 1: "
-            f"(a,b,c,d,m)=({a},{b},{c},{d},{m})"
+            f"gcd(b, d, m') = {g}, not 1: (a,b,c,d,m)=({a},{b},{c},{d},{m})"
         )
-    x1, y1, z1 = unit
+    x1, y1, z1 = s1 * s2, t1 * s2, t2
     x_p = k_res * x1 % m_p
     y_p = b * m + ((k_res * y1 - b * m) % m_p)
     a0 = a + m * x_p
@@ -292,21 +267,21 @@ def _row(a: int, b: int, c: int, d: int, m: int, k_res: int) -> tuple[int, ...]:
     return x1, y1, z1, x_p, y_p, a0, c0, u, a1, c1, v, c_p, big_a, big_c, bez_s, bez_t
 
 
-def _solve_core(
-    a: int, b: int, c: int, d: int, m: int, N: int
-) -> tuple[Witness, WitnessTrace]:
+def _solve_core(inst: Instance) -> tuple[Witness, WitnessTrace]:
     # Pre: a, b, c, d >= 1, gcd(a, b, c, d, m) = 1, N ≡ ab + cd (mod m).
     # The witness is integral; the one-sided caller checks d' >= d itself.
+    a, b, c, d, m, N = inst.a, inst.b, inst.c, inst.d, inst.m, inst.N
     k = (N - (a * b + c * d)) // m
     m_p = math.gcd(a, c, m)
     (x1, y1, z1, x_p, y_p, a0, c0, u, a1, c1, v, c_p, big_a, big_c, bez_s,
      bez_t) = _row(a, b, c, d, m, k % m_p)
     x, y = k * x1, k * y1
-    # The lift of (b, d), as lemma_lift takes it; a' = a1.
+    # The lift of (b, d): b' = b + m*r, d' = d + m*s with the least r >= 0,
+    # which leaves the largest s; a' = a1.
     ell = (N - (a1 * b + c_p * d)) // (m * m_p)
     r, s = _least_r_from_bezout(big_a, big_c, bez_s, bez_t, ell)
     trace = WitnessTrace(
-        instance=Instance(a, b, c, d, m, N),
+        instance=inst,
         m_prime=m_p,
         k=k,
         x=x,
@@ -353,7 +328,8 @@ def solve_class(inst: Instance) -> Optional[tuple[Witness, WitnessTrace]]:
     )
     if (N - (an * bn + cn * dn)) % m != 0:
         return None
-    w, trace = _solve_core(an, bn, cn, dn, m, N)
+    moved = (an, bn, cn, dn) != (a, b, c, d)
+    w, trace = _solve_core(Instance(an, bn, cn, dn, m, N) if moved else inst)
     if not verify_witness(inst, w):
         raise InternalInvariantError(f"witness failed verification: {w!r} for {inst!r}")
     return w, trace

@@ -181,6 +181,21 @@ def test_grid(capsys):
     assert obj["discrepancies"] == [] and obj["instances"] == 17
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--m-max", "0"], "m_max must be >= 1, got 0"),
+        (["--m-max", "2", "--window", "-3"], "k_window must be >= 0, got -3"),
+    ],
+    ids=["m-max-0", "window-negative"],
+)
+def test_grid_refuses_empty_sweep(capsys, flags, message):
+    # a sweep that checks nothing must not report success
+    code, out, err = run_cap(capsys, ["grid", *flags])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_grid_discrepancy_json(capsys, monkeypatch):
     # a discrepancy that carries the failing witness prints it as an object
     bad = (1, 1, 1, 1, 1, 2, "verify-failed", Witness(1, 1, 1, 2))

@@ -165,3 +165,18 @@ def test_strictness_demo():
 def test_strictness_demo_tiny_bound():
     rep = strictness_demo(15)
     assert 15 not in rep.non_representable  # 15 = 3*5 is representable
+
+
+def _sieve(limit):
+    flags = bytearray([1]) * (limit + 1)
+    flags[0:2] = b"\x00\x00"
+    for p in range(2, int(limit**0.5) + 1):
+        if flags[p]:
+            flags[p * p :: p] = b"\x00" * len(flags[p * p :: p])
+    return flags
+
+
+def test_strictness_demo_primes_match_sieve():
+    rep = strictness_demo(20000)
+    flags = _sieve(20000)
+    assert rep.primes_found == [n for n in rep.non_representable if flags[n]]

@@ -11,90 +11,38 @@ from sumprod import (
     InternalInvariantError,
     SearchBox,
     Witness,
-    lemma_lift,
     oracle_member_class,
     solve_class,
     solve_dilated,
-    solve_linear3,
     subgroup_witness,
     sylvester_nonneg,
+    threshold_N0,
     validate_trace,
     verify_witness,
 )
 
 
-# ---------------------------------------------------------------- lemma_lift
+# ---------------------------------------------------------------- the lift
 
-def test_lemma_lift_m1_collapse():
-    b_p, d_p = lemma_lift(1, 1, 0, 0, 1, 5)
-    assert b_p + d_p == 5
-
-
-def test_lemma_lift_nonneg_growth():
-    b_p, d_p = lemma_lift(3, 5, 1, 1, 2, 38)
-    assert 3 * b_p + 5 * d_p == 38
-    assert b_p >= 1 and d_p >= 1
-    assert b_p % 2 == 1 and d_p % 2 == 1
-    # ell = (38 - 3 - 5) / 2 = 15
-    assert ((b_p - 1) // 2, (d_p - 1) // 2) == sylvester_nonneg(3, 5, 1, 15)
-
-
-def test_lemma_lift_precondition_gate():
-    # N !≡ a'b + c'd (mod m*m') with m' = gcd(2, 4) = 2
-    with pytest.raises(ValueError):
-        lemma_lift(2, 4, 1, 1, 3, 2 + 4 + 1)
-
-
-def test_lemma_lift_integer_domain():
-    # c' = 0 (nothing to reduce modulo) and negative a', c' still lift
-    for a_p, c_p in ((3, 0), (0, 4), (-3, 5), (3, -5), (-4, -6), (6, -4)):
-        m_p = math.gcd(a_p, c_p)
-        for m, b, d in ((1, 0, 0), (3, 1, 2), (5, 4, 1)):
-            for ell in (-7, 0, 5):
-                n_target = a_p * b + c_p * d + ell * m * m_p
-                b_p, d_p = lemma_lift(a_p, c_p, b, d, m, n_target)
-                assert a_p * b_p + c_p * d_p == n_target
-                assert (b_p - b) % m == 0 and (d_p - d) % m == 0
-                if c_p:
-                    assert 0 <= (b_p - b) // m < abs(c_p) // m_p
-    # no refusal for a negative a': reading d' >= d as "one-sided" is the
-    # caller's business, and sound only for positive a', c'
-    assert lemma_lift(-3, 5, 1, 1, 2, -3 + 5) == (1, 1)
-
-
-def _lift_vs_sylvester(a_p, c_p, b, d, m, n_target):
-    # d' >= d exactly when a nonnegative (r, s) exists, and then the lift is
-    # the one sylvester_nonneg returns
-    m_p = math.gcd(a_p, c_p)
-    b_p, d_p = lemma_lift(a_p, c_p, b, d, m, n_target)
-    rs = sylvester_nonneg(a_p, c_p, m_p, (n_target - a_p * b - c_p * d) // (m * m_p))
-    assert (d_p >= d) == (rs is not None)
-    if rs is not None:
-        assert (b_p, d_p) == (b + m * rs[0], d + m * rs[1])
-    return b_p, d_p
-
-
-def test_lemma_lift_one_sided_matches_sylvester():
-    for a_p, c_p in itertools.product(range(1, 10), repeat=2):
-        m_p = math.gcd(a_p, c_p)
-        for m, b, d in ((1, 1, 1), (2, 1, 3), (3, 2, 1)):
-            for ell in range(-3, (a_p // m_p) * (c_p // m_p) + 2):
-                n_target = a_p * b + c_p * d + ell * m * m_p
-                _lift_vs_sylvester(a_p, c_p, b, d, m, n_target)
-
-
-def test_lemma_lift_guaranteed_above_inequality():
-    # whenever N >= a'b + c'd + m(a'-m')(c'-m'), the one-sided lift must exist
-    for a_p, c_p in ((3, 5), (4, 6), (7, 7), (2, 9)):
-        m = 3
-        m_p = math.gcd(a_p, c_p)
-        for b, d in ((1, 1), (2, 5), (4, 2)):
-            lo = a_p * b + c_p * d + m * (a_p - m_p) * (c_p - m_p)
-            for extra in range(0, 6):
-                n_target = lo + extra * m * m_p
-                b_p, d_p = _lift_vs_sylvester(a_p, c_p, b, d, m, n_target)
-                assert a_p * b_p + c_p * d_p == n_target
-                assert b_p >= b and d_p >= d
+def test_pipeline_lift_matches_sylvester():
+    # solve_progression trusts one rule: the least-r lift has d' >= d exactly
+    # when a nonnegative lift exists.  Checked on every criterion-4 template
+    # (m <= 3, entries in {1, 2}, gcd 1) for each member past ab + cd up to
+    # min(N0, 2000), where both outcomes occur.
+    both = [0, 0]
+    for m in (1, 2, 3):
+        for a, b, c, d in itertools.product((1, 2), repeat=4):
+            if math.gcd(a, b, c, d, m) != 1:
+                continue
+            top = min(threshold_N0(a, b, c, d, m).N0, 2000)
+            for n_target in range(a * b + c * d + m, top + 1, m):
+                w, t = witness._solve_core(Instance(a, b, c, d, m, n_target))
+                rs = sylvester_nonneg(t.a_prime, t.c_prime, t.m_prime, t.ell)
+                assert (w.d_prime >= d) == (rs is not None), t
+                if rs is not None:
+                    assert (w.b_prime, w.d_prime) == (b + m * rs[0], d + m * rs[1])
+                both[rs is not None] += 1
+    assert min(both) > 0, both
 
 
 # ---------------------------------------------------------------- solve_class
@@ -242,22 +190,15 @@ def test_trace_check_reported_by_name(name):
 
 # ---------------------------------------------------------------- row cache
 
-def test_row_cache_builds_a_template_once(monkeypatch):
-    # m' = gcd(3, 2, 19) = 1: all 61 targets share one row, so the
-    # b*x + d*y + m'*z = 1 solve runs once
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return solve_linear3(*args)
-
-    monkeypatch.setattr(witness, "solve_linear3", counting)
+def test_row_cache_builds_a_template_once():
+    # m' = gcd(3, 2, 19) = 1: all 61 targets share one row, so it is built
+    # once
     witness._row.cache_clear()
     a, b, c, d, m = 3, 5, 2, 2, 19
     for t in range(-30, 31):
         inst = Instance(a, b, c, d, m, a * b + c * d + t * m)
         assert verify_witness(inst, solve_class(inst)[0])
-    assert len(calls) == 1
+    assert witness._row.cache_info().misses == 1
 
 
 def _grid_outputs(instances):
