@@ -6,13 +6,7 @@ congruent to 15 mod 19, yet 53 is prime, so its only factorizations are
 a second product term repairs this completely; a single product never does.
 """
 
-from sumprod import (
-    CongruenceClass,
-    Progression,
-    product_class_contains,
-    progression_product_contains,
-    strictness_demo,
-)
+from sumprod import CongruenceClass, product_class_contains, strictness_demo
 
 r3, r5, r15 = CongruenceClass(3, 19), CongruenceClass(5, 19), CongruenceClass(15, 19)
 
@@ -24,13 +18,11 @@ ok, pair = product_class_contains(r3, r5, 72)
 print("72 in R_19(3)*R_19(5)? ", ok, "via", pair)
 
 # one-sided version: scan the progression P_19(15) for gaps
-p3, p5 = Progression(3, 19), Progression(5, 19)
 print("\nmembers of P_19(15) up to 400 missing from P_19(3)*P_19(5):")
-primes = strictness_demo(400).primes_found
-for n in range(15, 401, 19):
-    if not progression_product_contains(p3, p5, n)[0]:
-        tag = "prime" if n in primes else "composite"
-        print(f"  {n:4d}  ({tag})")
+rep = strictness_demo(400)
+for n in rep.non_representable:
+    tag = "prime" if n in rep.primes_found else "composite"
+    print(f"  {n:4d}  ({tag})")
 
 rep = strictness_demo(2000)
 print(

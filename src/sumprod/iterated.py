@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .witness import Instance, solve_class
+from .witness import Instance, InternalInvariantError, solve_class
 
 __all__ = [
     "IteratedSpec",
@@ -96,8 +96,10 @@ def solve_iterated(spec: IteratedSpec, N: int) -> IteratedResult:
         if (N - base) % m != 0:
             return IteratedResult(NOT_MEMBER, None)
         tail = sum(math.prod(t) for t in spec.terms[2:])
-        got = solve_class(Instance(a11, a12, a21, a22, m, N - tail))
-        assert got is not None  # residue already checked
+        inst = Instance(a11, a12, a21, a22, m, N - tail)
+        got = solve_class(inst)
+        if got is None:  # the residue was checked above
+            raise InternalInvariantError(f"pair-led target unsolvable: {inst!r}")
         w = got[0]
         values = (
             (w.a_prime, w.b_prime),

@@ -318,7 +318,7 @@ class StrictnessReport:
 
     @property
     def ok(self) -> bool:
-        return self.in_class and not self.in_product and self.non_representable
+        return self.in_class and not self.in_product and bool(self.non_representable)
 
 
 def strictness_demo(scan_bound: int = 1000) -> StrictnessReport:

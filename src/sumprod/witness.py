@@ -222,11 +222,16 @@ _ROW_CACHE_SIZE = 64
 
 
 @functools.lru_cache(maxsize=_ROW_CACHE_SIZE)
-def _row(a: int, b: int, c: int, d: int, m: int, k_res: int) -> tuple[int, ...]:
+def _row(
+    a: int, b: int, c: int, d: int, m: int, k_res: int
+) -> tuple[tuple[int, ...], ...]:
     # The pipeline up to (a', c'), which depends on the target only through
-    # k_res = k mod m'.  (x1, y1, z1) solves b*x + d*y + m'*z = 1 by nested
-    # extended gcd, which gcd(b, d, m') = gcd(a, b, c, d, m) = 1 allows; so
-    # k*(x1, y1, z1) solves it for k, and x', y' are read off k_res*(x1, y1).
+    # k_res = k mod m', as one group per proof stage in WitnessTrace order:
+    # the unit solution, the windows, the u- and v-steps, and the lift's
+    # Bezout data (a'/m', c'/m', s, t).  (x1, y1, z1) solves
+    # b*x + d*y + m'*z = 1 by nested extended gcd, which gcd(b, d, m') =
+    # gcd(a, b, c, d, m) = 1 allows; so k*(x1, y1, z1) solves it for k, and
+    # x', y' are read off k_res*(x1, y1).
     m_p = math.gcd(a, c, m)
     g_bd, s1, t1 = ext_gcd(b, d)
     g, s2, t2 = ext_gcd(g_bd, m_p)
@@ -264,7 +269,12 @@ def _row(a: int, b: int, c: int, d: int, m: int, k_res: int) -> tuple[int, ...]:
 
     big_a, big_c = a_p // m_p, c_p // m_p
     _, bez_s, bez_t = ext_gcd(big_a, big_c)  # the gcd is 1
-    return x1, y1, z1, x_p, y_p, a0, c0, u, a1, c1, v, c_p, big_a, big_c, bez_s, bez_t
+    return (
+        (x1, y1, z1),
+        (x_p, y_p),
+        (a0, c0, u, a1, c1, v, a_p, c_p),
+        (big_a, big_c, bez_s, bez_t),
+    )
 
 
 def _solve_core(inst: Instance) -> tuple[Witness, WitnessTrace]:
@@ -273,38 +283,20 @@ def _solve_core(inst: Instance) -> tuple[Witness, WitnessTrace]:
     a, b, c, d, m, N = inst.a, inst.b, inst.c, inst.d, inst.m, inst.N
     k = (N - (a * b + c * d)) // m
     m_p = math.gcd(a, c, m)
-    (x1, y1, z1, x_p, y_p, a0, c0, u, a1, c1, v, c_p, big_a, big_c, bez_s,
-     bez_t) = _row(a, b, c, d, m, k % m_p)
+    (x1, y1, z1), (x_p, y_p), steps, lift = _row(a, b, c, d, m, k % m_p)
     x, y = k * x1, k * y1
+    a_p, c_p = steps[6:]
     # The lift of (b, d): b' = b + m*r, d' = d + m*s with the least r >= 0,
-    # which leaves the largest s; a' = a1.
-    ell = (N - (a1 * b + c_p * d)) // (m * m_p)
-    r, s = _least_r_from_bezout(big_a, big_c, bez_s, bez_t, ell)
+    # which leaves the largest s.
+    ell = (N - (a_p * b + c_p * d)) // (m * m_p)
+    r, s = _least_r_from_bezout(*lift, ell)
     trace = WitnessTrace(
-        instance=inst,
-        m_prime=m_p,
-        k=k,
-        x=x,
-        y=y,
-        z=k * z1,
-        x_prime=x_p,
-        y_prime=y_p,
-        q_x=(x - x_p) // m_p,
-        q_y=(y - y_p) // m_p,
-        a0=a0,
-        c0=c0,
-        u=u,
-        a1=a1,
-        c1=c1,
-        v=v,
-        a_prime=a1,
-        c_prime=c_p,
-        ell=ell,
-        r=r,
-        s=s,
+        inst, m_p, k, x, y, k * z1,
+        x_p, y_p, (x - x_p) // m_p, (y - y_p) // m_p,
+        *steps, ell, r, s,
     )
     validate_trace(trace)
-    return Witness(a1, b + m * r, c_p, d + m * s), trace
+    return Witness(a_p, b + m * r, c_p, d + m * s), trace
 
 
 def solve_class(inst: Instance) -> Optional[tuple[Witness, WitnessTrace]]:

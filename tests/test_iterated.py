@@ -4,11 +4,13 @@ import math
 import pytest
 
 from sumprod import (
+    InternalInvariantError,
     IteratedSpec,
     iterated_member_search,
     solve_iterated,
     verify_iterated,
 )
+from sumprod.cli import run
 
 
 def test_absorb_examples():
@@ -141,3 +143,17 @@ def test_iterated_member_search_refuses_wrong_residue():
     spec = IteratedSpec(7, ((5,), (3, 4)))
     ok, qs = iterated_member_search(spec.terms, 7, 18, (30, 30))
     assert not ok and qs is None
+
+
+def test_pair_led_unsolvable_is_an_invariant_error(capsys, monkeypatch):
+    # The residue check guarantees solve_class a result; if it ever returned
+    # None, that is a bug, reported like every other invariant.
+    monkeypatch.setattr("sumprod.iterated.solve_class", lambda inst: None)
+    spec = IteratedSpec(5, ((1, 2), (3, 4)))
+    with pytest.raises(InternalInvariantError, match="pair-led"):
+        solve_iterated(spec, 19)
+    assert run(["iterate", "5", "19", "2:1,2", "2:3,4"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("internal invariant violation: ")
+    assert out.err.count("\n") == 1 and out.err.endswith("\n")

@@ -155,7 +155,7 @@ def test_grid_full_desk_scale():
 def test_strictness_demo():
     rep = strictness_demo(1000)
     assert rep.in_class and not rep.in_product
-    assert rep.non_representable and rep.ok
+    assert rep.non_representable and rep.ok is True
     assert 53 in rep.non_representable
     assert 53 in rep.primes_found
     assert all(n % 19 == 15 for n in rep.non_representable)
