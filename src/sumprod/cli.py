@@ -2,10 +2,11 @@
 
 Exit codes are the contract: 0 success/witness, 1 legitimate negative
 (not-member, failed check, unsupported shape, grid discrepancy), 2 usage
-error, 3 internal invariant violation.  stdout carries the result (human text
-by default, one JSON object per line under --json); stderr carries
-diagnostics only.  A reader that closes stdout early (`sumprod ... | head`)
-ends the run quietly with 141, the shell's status for a SIGPIPE death.
+error, 3 internal invariant violation or any other internal error, reported
+in one stderr line.  stdout carries the result (human text by default, one
+JSON object per line under --json); stderr carries diagnostics only.  A
+reader that closes stdout early (`sumprod ... | head`) ends the run quietly
+with 141, the shell's status for a SIGPIPE death.
 """
 
 from __future__ import annotations
@@ -294,6 +295,11 @@ def _dispatch(argv: Optional[Sequence[str]]) -> int:
         return EXIT_USAGE
     except InternalInvariantError as e:
         print(f"internal invariant violation: {e}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except BrokenPipeError:
+        raise  # main() ends the run quietly
+    except Exception as e:  # any other bug: one line, never a traceback
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

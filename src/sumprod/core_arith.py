@@ -1,5 +1,7 @@
 """Exact integer primitives: extended gcd and the least-r lift the witness
-pipeline is built on.
+pipeline is built on.  The lift reduces by the inverse of A modulo C, which
+the builtin pow(A, -1, C) computes natively; ext_gcd serves the witness
+pipeline's unit solve.
 
 Everything operates on plain Python ints (arbitrary precision), is fully
 deterministic, and never touches floating point.
@@ -36,15 +38,11 @@ def ext_gcd(x: int, y: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _least_r_from_bezout(
-    big_a: int, big_c: int, s: int, t: int, ell: int
-) -> tuple[int, int]:
-    # Given s*big_a + t*big_c = 1 with big_c >= 1: the solution of
-    # big_a*r + big_c*s' = ell with the least r >= 0.  The general solution is
-    # (r0 + big_c*t, s0 - big_a*t); reduce r into [0, big_c).
-    r0, s0 = s * ell, t * ell
-    r = r0 % big_c
-    return r, s0 - big_a * ((r - r0) // big_c)
+def _least_r_lift(big_a: int, big_c: int, inv: int, ell: int) -> tuple[int, int]:
+    # Given inv = big_a^-1 mod big_c with big_c >= 1: the solution of
+    # big_a*r + big_c*s = ell with the least r >= 0, which has r in [0, big_c).
+    r = inv * ell % big_c
+    return r, (ell - big_a * r) // big_c
 
 
 def sylvester_nonneg(
@@ -61,7 +59,6 @@ def sylvester_nonneg(
     if math.gcd(a, c) != mp:
         raise ValueError(f"gcd({a}, {c}) != {mp}")
     big_a, big_c = a // mp, c // mp
-    _, bez_s, bez_t = ext_gcd(big_a, big_c)  # the gcd is 1
     # s falls as r grows, so the least r >= 0 leaves the largest s.
-    r, s = _least_r_from_bezout(big_a, big_c, bez_s, bez_t, ell)
+    r, s = _least_r_lift(big_a, big_c, pow(big_a, -1, big_c), ell)
     return (r, s) if s >= 0 else None

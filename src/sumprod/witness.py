@@ -5,12 +5,13 @@ The pipeline follows the underlying existence proof step by step and records
 every intermediate in a WitnessTrace: solve b*x + d*y + m'*z = k, reduce x, y
 into fixed windows, shift (a0, c0) by the smallest multiple of m that leaves
 gcd(a1, c1) with m'-part exactly m', shift c1 by the smallest multiple of
-m*m' that clears the remaining prime interference, and finish with a
-size-reduced Bezout lift of (b, d).  Every step before the lift depends on
-the target only through k mod m', so that half is built once per
-(template, k mod m') row and cached.  Every trace field has an invariant that
-is a theorem, re-checked on every solve; a violation is a bug, never an
-input condition, and raises InternalInvariantError.
+m*m' that clears the remaining prime interference, and finish with the
+least-r lift of (b, d) by the inverse of a'/m' modulo c'/m'.  Every step
+before the lift, and that inverse, depends on the target only through
+k mod m', so it is built once per (template, k mod m') row and cached.
+Every trace field has an invariant that is a theorem, re-checked on every
+solve; a violation is a bug, never an input condition, and raises
+InternalInvariantError.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core_arith import _least_r_from_bezout, ext_gcd
+from .core_arith import _least_r_lift, ext_gcd
 
 __all__ = [
     "Instance",
@@ -228,17 +229,18 @@ def _row(
     # The pipeline up to (a', c'), which depends on the target only through
     # k_res = k mod m', as one group per proof stage in WitnessTrace order:
     # the unit solution, the windows, the u- and v-steps, and the lift's
-    # Bezout data (a'/m', c'/m', s, t).  (x1, y1, z1) solves
+    # data (a'/m', c'/m', inverse of a'/m' mod c'/m').  (x1, y1, z1) solves
     # b*x + d*y + m'*z = 1 by nested extended gcd, which gcd(b, d, m') =
     # gcd(a, b, c, d, m) = 1 allows; so k*(x1, y1, z1) solves it for k, and
-    # x', y' are read off k_res*(x1, y1).
+    # x', y' are read off k_res*(x1, y1).  At m' = 1, s2 = 0, so the Bezout
+    # pair (s1, t1) of (b, d) drops out and is not computed.
     m_p = math.gcd(a, c, m)
-    g_bd, s1, t1 = ext_gcd(b, d)
-    g, s2, t2 = ext_gcd(g_bd, m_p)
+    g, s2, t2 = ext_gcd(math.gcd(b, d), m_p)
     if g != 1:
         raise InternalInvariantError(
             f"gcd(b, d, m') = {g}, not 1: (a,b,c,d,m)=({a},{b},{c},{d},{m})"
         )
+    s1, t1 = ext_gcd(b, d)[1:] if s2 else (0, 0)
     x1, y1, z1 = s1 * s2, t1 * s2, t2
     x_p = k_res * x1 % m_p
     y_p = b * m + ((k_res * y1 - b * m) % m_p)
@@ -268,12 +270,11 @@ def _row(
         raise InternalInvariantError(f"no v-shift up to a1={a1} for c1={c1}")
 
     big_a, big_c = a_p // m_p, c_p // m_p
-    _, bez_s, bez_t = ext_gcd(big_a, big_c)  # the gcd is 1
     return (
         (x1, y1, z1),
         (x_p, y_p),
         (a0, c0, u, a1, c1, v, a_p, c_p),
-        (big_a, big_c, bez_s, bez_t),
+        (big_a, big_c, pow(big_a, -1, big_c)),  # the v-step made them coprime
     )
 
 
@@ -289,7 +290,7 @@ def _solve_core(inst: Instance) -> tuple[Witness, WitnessTrace]:
     # The lift of (b, d): b' = b + m*r, d' = d + m*s with the least r >= 0,
     # which leaves the largest s.
     ell = (N - (a_p * b + c_p * d)) // (m * m_p)
-    r, s = _least_r_from_bezout(*lift, ell)
+    r, s = _least_r_lift(*lift, ell)
     trace = WitnessTrace(
         inst, m_p, k, x, y, k * z1,
         x_p, y_p, (x - x_p) // m_p, (y - y_p) // m_p,

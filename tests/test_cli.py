@@ -245,6 +245,17 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
     assert "invariant" in err
 
 
+def test_unexpected_exception_exit_code(capsys, monkeypatch):
+    # a bug that is not an invariant check still exits 3, in one stderr line
+    def boom(inst):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr("sumprod.cli._solve_dilated_traced", boom)
+    code, out, err = run_cap(capsys, ["witness", "1", "1", "1", "1", "2", "4"])
+    assert code == 3 and out == ""
+    assert err == "internal error: ZeroDivisionError: injected\n"
+
+
 def test_witness_longer_than_int_str_limit(capsys):
     # b' has 4501 digits, past the interpreter's default int-to-str limit
     limit = sys.get_int_max_str_digits()

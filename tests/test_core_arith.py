@@ -1,10 +1,12 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumprod import ext_gcd, sylvester_nonneg
+from sumprod.core_arith import _least_r_lift
 
 DET = settings(max_examples=300, derandomize=True, deadline=None)
 
@@ -76,3 +78,41 @@ def test_sylvester_exact_and_guaranteed_above_bound():
             assert sylvester_nonneg(a, c, mp, ell) == least, (a, c, ell)
             if ell >= bound:
                 assert least is not None
+
+
+# ---------------------------------------------------------------- the lift
+
+def _lift_by_euclid(big_a, big_c, ell):
+    # The reduction from a Bezout pair s*A + t*C = 1: the general solution of
+    # A*r + C*s' = ell is (s*ell + C*j, t*ell - A*j); reduce r into [0, C).
+    _, s, t = ext_gcd(big_a, big_c)
+    r0, s0 = s * ell, t * ell
+    r = r0 % big_c
+    return r, s0 - big_a * ((r - r0) // big_c)
+
+
+def _coprime_pairs():
+    yield from ((1, 1), (1, 7), (7, 1), (1, 1 << 1023))
+    rng = random.Random(1024)
+    for bits in (2, 8, 64, 190, 512, 1024):
+        done = 0
+        while done < 40:
+            big_a = rng.getrandbits(rng.randint(1, bits)) | 1
+            big_c = rng.getrandbits(bits) | 1
+            if math.gcd(big_a, big_c) == 1:
+                done += 1
+                yield big_a, big_c
+
+
+def test_lift_by_inverse_matches_euclid():
+    # the lift by pow(A, -1, C) gives the same (r, s) as the Bezout-pair
+    # reduction, for A = 1, C = 1 and ell of either sign
+    rng = random.Random(11)
+    for big_a, big_c in _coprime_pairs():
+        inv = pow(big_a, -1, big_c)
+        bits = max(big_a.bit_length(), big_c.bit_length())
+        for ell in (0, 1, -1, rng.getrandbits(2 * bits), -rng.getrandbits(2 * bits)):
+            got = _least_r_lift(big_a, big_c, inv, ell)
+            assert got == _lift_by_euclid(big_a, big_c, ell), (big_a, big_c, ell)
+            r, s = got
+            assert big_a * r + big_c * s == ell and 0 <= r < big_c

@@ -17,6 +17,7 @@ from sumprod import witness
 
 DILATED_DIGEST = "e954f27e67a15506b6c2310fc80d0c6c97799fe507ef79fb6fd5b9a957899e78"
 PROGRESSION_DIGEST = "3faaaeead05971895229c87d643175d20ef9a10ef2b26fecc2b319a357b6d1dd"
+LARGE_MODULI_DIGEST = "fc857a852919eb8948eb6eee28b3fd173bce09be3c67cd649a6b3c9f807572c0"
 
 
 def _digest(rows):
@@ -51,6 +52,22 @@ def _dilated_rows():
         yield dataclasses.astuple(w), delta, dataclasses.astuple(trace)
 
 
+def _large_moduli_instances():
+    # 200 seeded instances each with 128-, 256- and 512-bit moduli.  Every
+    # second one multiplies a, c and m by a shared factor, so m' > 1 and the
+    # unit solve runs both of its extended gcds.
+    rng = random.Random(2026)
+    for bits in (128, 256, 512):
+        for i in range(200):
+            m = rng.getrandbits(bits - 1) | (1 << (bits - 1))
+            a, b, c, d = (rng.randint(1, m) for _ in range(4))
+            if i % 2:
+                f = rng.randint(2, 1 << 16)
+                a, c, m = f * a, f * c, f * m
+            step = math.gcd(a, b, c, d, m) * m
+            yield Instance(a, b, c, d, m, a * b + c * d + rng.getrandbits(bits) * step)
+
+
 def _progression_rows():
     # Every N from ab + cd - m to 600 on the criterion-4 templates (m <= 3,
     # entries in {1, 2}, gcd 1): members, non-members and both outcomes of
@@ -67,6 +84,17 @@ def _progression_rows():
 
 def test_dilated_outputs_pinned():
     assert _digest(_dilated_rows()) == (12_727 + 200, DILATED_DIGEST)
+
+
+def test_large_moduli_outputs_pinned():
+    m_prime_above_1 = 0
+    rows = []
+    for inst in _large_moduli_instances():
+        w, delta, trace = witness._solve_dilated_traced(inst)
+        m_prime_above_1 += trace.m_prime > 1
+        rows.append((dataclasses.astuple(w), delta, dataclasses.astuple(trace)))
+    assert m_prime_above_1 == 338
+    assert _digest(rows) == (600, LARGE_MODULI_DIGEST)
 
 
 def test_progression_outputs_pinned():

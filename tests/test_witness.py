@@ -201,6 +201,30 @@ def test_row_cache_builds_a_template_once():
     assert witness._row.cache_info().misses == 1
 
 
+@pytest.mark.parametrize(
+    "template, calls",
+    [((3, 5, 2, 2, 19), 1), ((4, 2, 4, 3, 4), 2)],
+    ids=["m_prime_1", "m_prime_4"],
+)
+def test_cold_row_extended_gcd_calls(monkeypatch, template, calls):
+    # a new row runs the unit solve's outer extended gcd, and the one on
+    # (b, d) only when m' > 1; the lift's inverse takes none
+    seen = []
+    real = witness.ext_gcd
+
+    def counting(x, y):
+        seen.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr("sumprod.witness.ext_gcd", counting)
+    witness._row.cache_clear()
+    a, b, c, d, m = template
+    inst = Instance(a, b, c, d, m, a * b + c * d + 5 * m)
+    assert verify_witness(inst, solve_class(inst)[0])
+    assert witness._row.cache_info().misses == 1
+    assert len(seen) == calls, seen
+
+
 def _grid_outputs(instances):
     out = {}
     for inst in instances:
