@@ -1,7 +1,7 @@
-"""Exact integer primitives: extended gcd and the least-r lift the witness
-pipeline is built on.  The lift reduces by the inverse of A modulo C, which
-the builtin pow(A, -1, C) computes natively; ext_gcd serves the witness
-pipeline's unit solve.
+"""Exact integer primitives: the Bezout pairs and the least-r lift the
+witness pipeline is built on.  Both rest on the builtin modular inverse
+pow(A, -1, C), computed natively: the lift reduces by the inverse of A
+modulo C, and _bezout turns one inverse into the pair the unit solve needs.
 
 Everything operates on plain Python ints (arbitrary precision), is fully
 deterministic, and never touches floating point.
@@ -13,29 +13,20 @@ import math
 from typing import Optional
 
 __all__ = [
-    "ext_gcd",
     "sylvester_nonneg",
 ]
 
 
-def ext_gcd(x: int, y: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with s*x + t*y = g = gcd(x, y) >= 0.
-
-    ext_gcd(0, 0) = (0, 0, 0) by convention.
-    """
-    if x == 0 and y == 0:
-        return 0, 0, 0
-    old_r, r = x, y
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+def _bezout(x: int, y: int) -> tuple[int, int, int]:
+    # For x, y >= 1: (g, s, t) with s*x + t*y = g = gcd(x, y), the pair
+    # extended Euclid returns, whose s is the one in (-Y/2, Y/2] for
+    # Y = y/g.  pow(., -1, 1) is 0, so Y = 1 gives (g, 0, 1).
+    g = math.gcd(x, y)
+    big_y = y // g
+    s = pow(x // g, -1, big_y)
+    if 2 * s > big_y:
+        s -= big_y
+    return g, s, (g - x * s) // y
 
 
 def _least_r_lift(big_a: int, big_c: int, inv: int, ell: int) -> tuple[int, int]:

@@ -216,10 +216,12 @@ def iterated_member_search(
     bounds[i] caps |q_ij| for every coefficient of term i.  Sound always;
     complete only within those boxes.  A wrong residue class is refused
     outright: every decomposition reduces to the base value mod m, so no box
-    can contain one.
+    can contain one.  A negative bound, an empty box, raises ValueError.
     """
     if len(bounds) != len(terms):
         raise ValueError("one bound per term required")
+    if any(bd < 0 for bd in bounds):
+        raise ValueError(f"bounds must be >= 0, got {bounds}")
     base = sum(math.prod(t) for t in terms)
     if (n_target - base) % m != 0:
         return False, None
@@ -328,8 +330,11 @@ def strictness_demo(scan_bound: int = 1000) -> StrictnessReport:
 
     The scan is bounded evidence only: showing the gap is infinite needs
     Dirichlet's theorem on primes in progressions, which this package does
-    not attempt.
+    not attempt.  Trial division makes the scan grow like scan_bound**1.5,
+    so a scan_bound above 10**6 is refused before any work.
     """
+    if scan_bound > 10**6:
+        raise ValueError(f"scan_bound must be <= 10**6, got {scan_bound}")
     r15 = CongruenceClass(15, 19)
     r3 = CongruenceClass(3, 19)
     r5 = CongruenceClass(5, 19)

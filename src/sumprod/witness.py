@@ -6,9 +6,10 @@ every intermediate in a WitnessTrace: solve b*x + d*y + m'*z = k, reduce x, y
 into fixed windows, shift (a0, c0) by the smallest multiple of m that leaves
 gcd(a1, c1) with m'-part exactly m', shift c1 by the smallest multiple of
 m*m' that clears the remaining prime interference, and finish with the
-least-r lift of (b, d) by the inverse of a'/m' modulo c'/m'.  Every step
-before the lift, and that inverse, depends on the target only through
-k mod m', so it is built once per (template, k mod m') row and cached.
+least-r lift of (b, d) by the inverse of a'/m' modulo c'/m'.  The first
+step's Bezout pairs and that inverse come from math.gcd and pow(., -1, .).
+Every step before the lift, and that inverse, depends on the target only
+through k mod m', so it is built once per (template, k mod m') row and cached.
 Every trace field has an invariant that is a theorem, re-checked on every
 solve; a violation is a bug, never an input condition, and raises
 InternalInvariantError.
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core_arith import _least_r_lift, ext_gcd
+from .core_arith import _bezout, _least_r_lift
 
 __all__ = [
     "Instance",
@@ -230,17 +231,17 @@ def _row(
     # k_res = k mod m', as one group per proof stage in WitnessTrace order:
     # the unit solution, the windows, the u- and v-steps, and the lift's
     # data (a'/m', c'/m', inverse of a'/m' mod c'/m').  (x1, y1, z1) solves
-    # b*x + d*y + m'*z = 1 by nested extended gcd, which gcd(b, d, m') =
-    # gcd(a, b, c, d, m) = 1 allows; so k*(x1, y1, z1) solves it for k, and
-    # x', y' are read off k_res*(x1, y1).  At m' = 1, s2 = 0, so the Bezout
-    # pair (s1, t1) of (b, d) drops out and is not computed.
+    # b*x + d*y + m'*z = 1 from the Bezout pairs of (gcd(b, d), m') and
+    # (b, d), which gcd(b, d, m') = gcd(a, b, c, d, m) = 1 allows; so
+    # k*(x1, y1, z1) solves it for k, and x', y' are read off k_res*(x1, y1).
+    # At m' = 1, s2 = 0, so (b, d)'s pair (s1, t1) drops out, uncomputed.
     m_p = math.gcd(a, c, m)
-    g, s2, t2 = ext_gcd(math.gcd(b, d), m_p)
+    g, s2, t2 = _bezout(math.gcd(b, d), m_p)
     if g != 1:
         raise InternalInvariantError(
             f"gcd(b, d, m') = {g}, not 1: (a,b,c,d,m)=({a},{b},{c},{d},{m})"
         )
-    s1, t1 = ext_gcd(b, d)[1:] if s2 else (0, 0)
+    s1, t1 = _bezout(b, d)[1:] if s2 else (0, 0)
     x1, y1, z1 = s1 * s2, t1 * s2, t2
     x_p = k_res * x1 % m_p
     y_p = b * m + ((k_res * y1 - b * m) % m_p)

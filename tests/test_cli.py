@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -215,6 +216,15 @@ def test_demo_contains_53(capsys):
     assert code == 0
     assert "53 in R_19(15): True" in out
     assert "53 in R_19(3)*R_19(5): False" in out
+
+
+def test_demo_refuses_scan_bound_over_budget(capsys):
+    # refused before any scanning: a scan to 10**6 + 1 would take seconds
+    start = time.perf_counter()
+    code, out, err = run_cap(capsys, ["demo", "--bound", "1000001"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err == "error: scan_bound must be <= 10**6, got 1000001\n"
 
 
 def test_usage_errors(capsys):

@@ -3,33 +3,55 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from sumprod import ext_gcd, sylvester_nonneg
-from sumprod.core_arith import _least_r_lift
-
-DET = settings(max_examples=300, derandomize=True, deadline=None)
+from sumprod import sylvester_nonneg
+from sumprod.core_arith import _bezout, _least_r_lift
 
 
-# ---------------------------------------------------------------- ext_gcd
+# ---------------------------------------------------------------- _bezout
 
-def test_ext_gcd_examples():
-    g, s, t = ext_gcd(12, 18)
-    assert g == 6 and s * 12 + t * 18 == 6
-    assert ext_gcd(0, 0) == (0, 0, 0)
-    g, s, t = ext_gcd(3, 5)
-    assert g == 1 and s * 3 + t * 5 == 1
+def _euclid(x, y):
+    # The reference: extended Euclid, whose (g, s, t) _bezout must give
+    # exactly, so that every unit solve and trace stays the same.
+    if x == 0 and y == 0:
+        return 0, 0, 0
+    old_r, r = x, y
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
 
 
-@DET
-@given(st.integers(-10**4, 10**4), st.integers(-10**4, 10**4))
-def test_ext_gcd_identity(x, y):
-    g, s, t = ext_gcd(x, y)
-    assert s * x + t * y == g
-    assert g == math.gcd(x, y)
-    assert g >= 0
-    if g:
-        assert x % g == 0 and y % g == 0
+def _bezout_inputs():
+    yield from itertools.product(range(1, 301), repeat=2)
+    rng = random.Random(2024)
+    for bits in (8, 64, 128, 256, 512, 1024):
+        for _ in range(200):
+            x = rng.getrandbits(bits) | 1
+            y = rng.getrandbits(rng.randint(1, bits)) + 1
+            f = rng.getrandbits(rng.randint(1, 64)) + 1
+            # random, a shared factor, x | y, y | x, x == y, y/g == 2 (the tie)
+            yield from ((x, y), (x * f, y * f), (x, x * f), (x * f, x), (x, x))
+            yield x * f, 2 * f
+
+
+def test_bezout_is_euclids_pair():
+    # the same (g, s, t) as extended Euclid, whose s lies in (-Y/2, Y/2] for
+    # Y = y/g, so the unit solve and every trace built on it are unchanged
+    ties = 0
+    for x, y in _bezout_inputs():
+        got = _bezout(x, y)
+        assert got == _euclid(x, y), (x, y)
+        g, s, t = got
+        assert g == math.gcd(x, y) and s * x + t * y == g
+        ties += y // g == 2
+    assert ties > 0
 
 
 # ---------------------------------------------------------------- sylvester_nonneg
@@ -85,7 +107,7 @@ def test_sylvester_exact_and_guaranteed_above_bound():
 def _lift_by_euclid(big_a, big_c, ell):
     # The reduction from a Bezout pair s*A + t*C = 1: the general solution of
     # A*r + C*s' = ell is (s*ell + C*j, t*ell - A*j); reduce r into [0, C).
-    _, s, t = ext_gcd(big_a, big_c)
+    _, s, t = _euclid(big_a, big_c)
     r0, s0 = s * ell, t * ell
     r = r0 % big_c
     return r, s0 - big_a * ((r - r0) // big_c)

@@ -145,6 +145,14 @@ def test_iterated_member_search_refuses_wrong_residue():
     assert not ok and qs is None
 
 
+@pytest.mark.parametrize("bounds", [(-1, 2), (2, -1)])
+def test_iterated_member_search_refuses_negative_bound(bounds):
+    # a negative bound is an empty box, not a search that found nothing
+    with pytest.raises(ValueError, match="bounds must be >= 0"):
+        iterated_member_search(((1,), (1,)), 3, 2, bounds)
+    assert iterated_member_search(((1,), (1,)), 3, 2, (0, 0)) == (True, ((0,), (0,)))
+
+
 def test_pair_led_unsolvable_is_an_invariant_error(capsys, monkeypatch):
     # The residue check guarantees solve_class a result; if it ever returned
     # None, that is a bug, reported like every other invariant.

@@ -207,16 +207,16 @@ def test_row_cache_builds_a_template_once():
     ids=["m_prime_1", "m_prime_4"],
 )
 def test_cold_row_extended_gcd_calls(monkeypatch, template, calls):
-    # a new row runs the unit solve's outer extended gcd, and the one on
-    # (b, d) only when m' > 1; the lift's inverse takes none
+    # a new row takes the unit solve's Bezout pair of (gcd(b, d), m'), and
+    # the one of (b, d) only when m' > 1; the lift's inverse takes none
     seen = []
-    real = witness.ext_gcd
+    real = witness._bezout
 
     def counting(x, y):
         seen.append((x, y))
         return real(x, y)
 
-    monkeypatch.setattr("sumprod.witness.ext_gcd", counting)
+    monkeypatch.setattr("sumprod.witness._bezout", counting)
     witness._row.cache_clear()
     a, b, c, d, m = template
     inst = Instance(a, b, c, d, m, a * b + c * d + 5 * m)
