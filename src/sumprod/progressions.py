@@ -118,22 +118,32 @@ def solve_progression(inst: Instance) -> ProgressionResult:
     return ProgressionResult(WITNESS, w, report)
 
 
+# Members exceptional_set may scan: its mask costs up to about 1 s at this size.
+_MAX_SCANNED = 10**6
+
+
 def exceptional_set(
     a: int, b: int, c: int, d: int, m: int, cap: int
 ) -> list[int]:
     """All N in P_m(ab+cd) with N <= cap that have no one-sided decomposition.
 
-    Decided by the oracle's exhaustive nonnegative product enumeration, which
-    is complete up to cap because every factor is positive and bounded by the
-    target.  The cap is inclusive; the result is ascending.
+    Decided by the oracle's exhaustive nonnegative sumset, which is complete
+    up to cap because every factor is positive and bounded by the target.
+    The cap is inclusive; the result is ascending.  More than 10**6 members
+    to scan ((cap - ab - cd) // m + 1) is refused before any work: the
+    sumset grows faster than linearly in that count.
     """
     _check_preconditions(a, b, c, d, m)
     base = a * b + c * d
     if cap < base:
         return []
-    mask = _oracle.progression_sums_mask(a, b, c, d, m, cap)
-    # Read the bits once (bits[n] is bit n): a shift per member would copy
-    # the cap-bit mask each time.
-    bits = format(mask, "b").zfill(cap + 1)[::-1]
-    members = range(base, cap + 1, m)
-    return [n for n, bit in zip(members, bits[base::m]) if bit == "0"]
+    top = (cap - base) // m
+    if top + 1 > _MAX_SCANNED:
+        raise ValueError(
+            f"members to scan ((cap - ab - cd) // m + 1) must be <= 10**6, "
+            f"got {top + 1}"
+        )
+    # Bit t of the folded mask is member base + m*t; read the bits once.
+    bits = format(_oracle._folded_sums_mask(a, b, c, d, m, top), "b")
+    bits = bits.zfill(top + 1)[::-1]
+    return [base + m * t for t, bit in enumerate(bits) if bit == "0"]

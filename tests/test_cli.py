@@ -175,6 +175,20 @@ def test_exceptions_refuses_nonpositive_modulus(capsys, m):
     assert err == f"error: modulus must be >= 1, got {m}\n"
 
 
+def test_exceptions_refuses_cap_over_budget(capsys):
+    # 1,999,999 members to scan: refused before the sumset is built
+    start = time.perf_counter()
+    code, out, err = run_cap(
+        capsys, ["exceptions", "1", "1", "1", "1", "1", "--cap", "2000000"]
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err == (
+        "error: members to scan ((cap - ab - cd) // m + 1) must be <= 10**6, "
+        "got 1999999\n"
+    )
+
+
 def test_grid(capsys):
     code, out, _ = run_cap(capsys, ["--json", "grid", "--m-max", "2", "--window", "4"])
     assert code == 0

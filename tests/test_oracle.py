@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 
@@ -99,6 +101,59 @@ def test_progression_mask_matches_single_queries():
         assert bool((mask >> n_target) & 1) == (
             oracle_member_progression(Instance(a, b, c, d, m, n_target))[0]
         )
+
+
+def _mask_by_shifts(a, b, c, d, m, cap):
+    # The direct sumset: one shifted copy of the left mask per distinct right
+    # product, quadratic in cap; the reference the folded mask must equal.
+    if cap < a * b + c * d:
+        return 0
+    left = 0
+    for row in sumprod.oracle._nonneg_rows(a, b, m, cap - c * d):
+        for p in row:
+            left |= 1 << p
+    total = 0
+    for q in set().union(*sumprod.oracle._nonneg_rows(c, d, m, cap - a * b)):
+        total |= left << q
+    return total & ((1 << (cap + 1)) - 1)
+
+
+def _sums_mask_cases():
+    for a, b, c, d in itertools.product(range(1, 4), repeat=4):
+        base = a * b + c * d
+        for m in range(1, 5):
+            for cap in (base - 1, base, base + 1, 137, 600):
+                yield a, b, c, d, m, cap
+    rng = random.Random(11)
+    for _ in range(300):
+        a, b, c, d = (rng.randint(1, 40) for _ in range(4))
+        yield a, b, c, d, rng.randint(1, 12), rng.randint(0, 3000)
+
+
+def test_sums_mask_matches_shift_reference():
+    cases = list(_sums_mask_cases())
+    assert len(cases) == 1920
+    for case in cases:
+        assert progression_sums_mask(*case) == _mask_by_shifts(*case), case
+
+
+@pytest.mark.parametrize("x0, y0, m", [(1, 1, 1), (2, 3, 1), (3, 2, 4), (5, 1, 7)])
+def test_ap_rows_cover_the_index_set(x0, y0, m):
+    # (x0+i*m)(y0+j*m) = x0*y0 + m*u: the rows hold exactly the u <= top
+    for top in range(0, 121):
+        rows = list(sumprod.oracle._ap_rows(x0, y0, m, top))
+        assert len(rows) <= 2 * (math.isqrt(top // m) + 1)
+        got = set()
+        for start, step, count in rows:
+            assert count >= 1 and start + (count - 1) * step <= top
+            got.update(range(start, start + count * step, step))
+        want = {
+            x0 * j + y0 * i + m * i * j
+            for i in range(top + 1)
+            for j in range(top + 1)
+            if x0 * j + y0 * i + m * i * j <= top
+        }
+        assert got == want, top
 
 
 def test_grid_small_clean():

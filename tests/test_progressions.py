@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import sumprod.oracle
 from sumprod import (
     Instance,
     exceptional_set,
@@ -146,3 +147,25 @@ def test_exceptional_set_cap_semantics():
         e = full[-1]
         assert e in exceptional_set(a, b, c, d, m, e)  # inclusive cap
     assert exceptional_set(a, b, c, d, m, a * b + c * d - 1) == []
+
+
+def test_exceptional_set_scan_budget(monkeypatch):
+    # 10**6 members are scanned; one more is refused before the mask is built
+    calls = []
+
+    def all_members(a, b, c, d, m, top):
+        calls.append(top)
+        return (1 << (top + 1)) - 1
+
+    monkeypatch.setattr(sumprod.oracle, "_folded_sums_mask", all_members)
+    base, m = 1 * 1 + 2 * 2, 3
+    at_budget = base + m * (10**6 - 1)
+    assert exceptional_set(1, 1, 2, 2, m, at_budget + m - 1) == []
+    assert calls == [10**6 - 1]
+
+    def refused(*args):
+        raise AssertionError("mask built for a refused cap")
+
+    monkeypatch.setattr(sumprod.oracle, "_folded_sums_mask", refused)
+    with pytest.raises(ValueError, match=r"must be <= 10\*\*6, got 1000001"):
+        exceptional_set(1, 1, 2, 2, m, at_budget + m)
