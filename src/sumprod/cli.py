@@ -122,8 +122,11 @@ def _parse_term(token: str) -> tuple[int, ...]:
     head, sep, rest = token.partition(":")
     if not sep:
         raise ValueError(f"term must look like k:c1,c2,...  got {token!r}")
-    k = int(head)
-    coeffs = tuple(int(x) for x in rest.split(","))
+    try:
+        k = _int(head)
+        coeffs = tuple(_int(x) for x in rest.split(","))
+    except argparse.ArgumentTypeError as e:
+        raise ValueError(f"term {token!r}: {e}") from None
     if k != len(coeffs):
         raise ValueError(f"term {token!r}: declared length {k} != {len(coeffs)}")
     return coeffs
@@ -182,7 +185,7 @@ def _int(s: str) -> int:
     # Arbitrary-precision decimal, optional sign; no hex, no underscores.
     s = s.strip()
     body = s[1:] if s[:1] in "+-" else s
-    if not body.isdigit():
+    if not (body.isascii() and body.isdigit()):
         raise argparse.ArgumentTypeError(f"not a decimal integer: {s!r}")
     return int(s)
 
@@ -255,8 +258,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "grid", parents=[shared], help="differential sweep against the oracle"
     )
-    p.add_argument("--m-max", type=int, default=4)
-    p.add_argument("--window", type=int, default=20)
+    p.add_argument("--m-max", type=_int, default=4)
+    p.add_argument("--window", type=_int, default=20)
     p.set_defaults(func=_cmd_grid)
 
     p = sub.add_parser(

@@ -88,7 +88,7 @@ def solve_iterated(spec: IteratedSpec, N: int) -> IteratedResult:
         q = (N - base) // m
         values = ((spec.terms[0][0] + q * m,),) + spec.terms[1:]
         return IteratedResult(WITNESS, IteratedWitness(values))
-    if len(ks) >= 2 and ks[0] == 2 and ks[1] == 2:
+    if ks[0] == ks[1] == 2:
         a11, a12 = spec.terms[0]
         a21, a22 = spec.terms[1]
         if math.gcd(a11, a12, a21, a22, m) != 1:

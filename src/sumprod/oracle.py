@@ -30,7 +30,6 @@ __all__ = [
     "StrictnessReport",
     "oracle_member_class",
     "oracle_member_progression",
-    "progression_sums_mask",
     "iterated_member_search",
     "grid_verify_theorem",
     "strictness_demo",
@@ -104,43 +103,6 @@ def oracle_member_class(
     return True, (i, j, k, l)
 
 
-def _nonneg_rows(x0: int, y0: int, m: int, cap: int) -> Iterator[range]:
-    # Row i holds the products (x0+i*m)(y0+j*m) <= cap for j = 0, 1, ...,
-    # which form an arithmetic progression in j; rows come in order of i.
-    # Positive x0, y0 keep the enumeration finite.
-    x = x0
-    while x * y0 <= cap:
-        yield range(x * y0, cap + 1, x * m)
-        x += m
-
-
-def oracle_member_progression(
-    inst: Instance,
-) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
-    """Complete decision of N ∈ P_m(a)P_m(b) + P_m(c)P_m(d).
-
-    No box is needed: every factor is positive, so all indices satisfy
-    a + i*m <= N and the search space is finite.  Returns the
-    lexicographically first nonnegative quadruple on success.
-    """
-    a, b, c, d, m, n_target = inst.a, inst.b, inst.c, inst.d, inst.m, inst.N
-    if min(a, b, c, d) < 1:
-        raise ValueError("progression templates must be positive")
-    if n_target < a * b + c * d:
-        return False, None
-    right: dict[int, tuple[int, int]] = {}
-    for k, row in enumerate(_nonneg_rows(c, d, m, n_target - a * b)):
-        for l, p in enumerate(row):
-            if p not in right:
-                right[p] = (k, l)
-    for i, row in enumerate(_nonneg_rows(a, b, m, n_target - c * d)):
-        for j, p in enumerate(row):
-            got = right.get(n_target - p)
-            if got is not None:
-                return True, (i, j, got[0], got[1])
-    return False, None
-
-
 def _ap_rows(
     x0: int, y0: int, m: int, top: int
 ) -> Iterator[tuple[int, int, int]]:
@@ -158,17 +120,58 @@ def _ap_rows(
         i += 1
 
 
+def _index_digits(x0: int, y0: int, m: int, top: int) -> bytearray:
+    # Digit u of the result is b"1" iff u <= top is an index of the side,
+    # x0*y0 + m*u = (x0+i*m)(y0+j*m) for some i, j >= 0: one slice store
+    # per row of _ap_rows.
+    buf = bytearray(b"0") * (top + 1)
+    for start, step, count in _ap_rows(x0, y0, m, top):
+        buf[start::step] = b"1" * count
+    return buf
+
+
+def oracle_member_progression(
+    inst: Instance,
+) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
+    """Complete decision of N ∈ P_m(a)P_m(b) + P_m(c)P_m(d).
+
+    No box is needed: every factor is positive, so all indices satisfy
+    a + i*m <= N and the search space is finite.  Returns the
+    lexicographically first nonnegative quadruple on success.
+
+    Decided on member indices: N = ab + cd + m*t with t = u + v, where
+    (a+i*m)(b+j*m) = ab + m*u and (c+k*m)(d+l*m) = cd + m*v.
+    """
+    a, b, c, d, m, n_target = inst.a, inst.b, inst.c, inst.d, inst.m, inst.N
+    if min(a, b, c, d) < 1:
+        raise ValueError("progression templates must be positive")
+    t, r = divmod(n_target - a * b - c * d, m)
+    if t < 0 or r:
+        return False, None
+    # Reversed, digit u says whether t - u is a right index; each left row
+    # u = b*i + (a+m*i)*j is probed for its first hit, in (i, j) order.
+    rest = _index_digits(c, d, m, t)[::-1]
+    i = 0
+    while b * i <= t:
+        j = rest[b * i :: a + m * i].find(b"1")
+        if j >= 0:
+            v = t - b * i - (a + m * i) * j
+            # The first (k, l) in order for this v: the smallest k whose
+            # factor c + m*k divides what is left after d*k.
+            k = next(k for k in itertools.count() if (v - d * k) % (c + m * k) == 0)
+            return True, (i, j, k, (v - d * k) // (c + m * k))
+        i += 1
+    return False, None
+
+
 def _folded_sums_mask(a: int, b: int, c: int, d: int, m: int, top: int) -> int:
     # Bit t set iff ab + cd + m*t = x*y + z*w with x ∈ P_m(a), y ∈ P_m(b),
     # z ∈ P_m(c), w ∈ P_m(d), for t in [0, top]: the sumset of the two sides'
-    # index sets.  The left set is written with slice stores into a byte
-    # string, read as one integer; each right progression (start, step,
-    # count) ORs in left << (start + j*step) for every j < count by
-    # doubling, so about log2(count) shifts of a (top+1)-bit integer.
-    buf = bytearray(b"0") * (top + 1)
-    for start, step, count in _ap_rows(a, b, m, top):
-        buf[start::step] = b"1" * count
-    left = int(buf[::-1], 2)
+    # index sets.  The left set is read as one integer; each right
+    # progression (start, step, count) ORs in left << (start + j*step) for
+    # every j < count by doubling, so about log2(count) shifts of a
+    # (top+1)-bit integer.
+    left = int(_index_digits(a, b, m, top)[::-1], 2)
     total = 0
     for start, step, count in _ap_rows(c, d, m, top):
         keep = (1 << (top + 1 - start)) - 1
@@ -180,37 +183,6 @@ def _folded_sums_mask(a: int, b: int, c: int, d: int, m: int, top: int) -> int:
             span *= 2
         total |= acc << start
     return total
-
-
-def progression_sums_mask(
-    a: int, b: int, c: int, d: int, m: int, cap: int
-) -> int:
-    """Bitmask of every representable target up to cap (bit n set iff
-    n = x*y + z*w with x ∈ P_m(a), y ∈ P_m(b), z ∈ P_m(c), w ∈ P_m(d)).
-
-    Every sum is ab + cd + m*t with t = u + v, where ab + m*u and cd + m*v
-    are the two products, so the sumset is taken over indices t <= top =
-    (cap - ab - cd) // m and then spread to bit ab + cd + m*t.  Each side's
-    index set is about 2*sqrt(top/m) arithmetic progressions, one per value
-    of the smaller index; the left one is written as one bitmask, and every
-    right progression is added to it by binary doubling.  That costs
-    O(sqrt(top/m) * log(top)) shifts of a top-bit integer: about 0.05 s at
-    top = 2*10**5 and at most about 0.9 s at 10**6 (CPython 3.11, 2-vCPU
-    host).  Complete below cap for the same reason oracle_member_progression
-    is.
-    """
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    if min(a, b, c, d) < 1:
-        raise ValueError("progression templates must be positive")
-    base = a * b + c * d
-    if cap < base:
-        return 0
-    top = (cap - base) // m
-    folded = _folded_sums_mask(a, b, c, d, m, top)
-    buf = bytearray(b"0") * (cap + 1)
-    buf[base::m] = format(folded, "b").zfill(top + 1).encode()[::-1]
-    return int(buf[::-1], 2)
 
 
 def _iterated_finder(
@@ -302,7 +274,11 @@ def grid_verify_theorem(
 
     `corrupt` mutates each witness before verification; it exists so the
     harness can prove to itself that an injected fault is actually caught.
-    A sweep that would check nothing (m_max < 1 or k_window < 0) is refused.
+    A sweep that would check nothing (m_max < 1 or k_window < 0) is refused,
+    and so, before any work, is one with more than 5*10**5 targets or a
+    class-side table of more than 5*10**6 entries.  (8, 20) checks 359,652
+    targets in about 5 s; (3, 200) builds a 1,485,961-entry table and sweeps
+    in about 2 s (CPython 3.11, 2-vCPU host).
     """
     if m_max > 12:
         raise ValueError("sweep cap is m_max <= 12")
@@ -310,6 +286,15 @@ def grid_verify_theorem(
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     if k_window < 0:
         raise ValueError(f"k_window must be >= 0, got {k_window}")
+    targets = sum(m**4 for m in range(1, m_max + 1)) * (2 * k_window + 1)
+    if targets > 5 * 10**5:
+        raise ValueError(f"sweep targets must be <= 5*10**5, got {targets}")
+    # a = b = c = d = m = m_max at the window's far end is the sweep's
+    # largest target, so its box is the widest.
+    far = Instance(m_max, m_max, m_max, m_max, m_max, m_max**2 * (2 + k_window))
+    entries = (2 * SearchBox.default_for(far).hi + 1) ** 2
+    if entries > 5 * 10**6:
+        raise ValueError(f"class-side table must be <= 5*10**6 entries, got {entries}")
     report = GridReport(m_max=m_max, k_window=k_window)
     for m in range(1, m_max + 1):
         for c, d in itertools.product(range(1, m + 1), repeat=2):

@@ -159,6 +159,25 @@ def test_iterate_sorts_terms(capsys):
     assert json.loads(out)["values"] == [[9], [3, 4]]
 
 
+@pytest.mark.parametrize(
+    "term, bad",
+    [
+        ("1:1_0", "'1_0'"),
+        ("0:", "''"),
+        ("1_0:1", "'1_0'"),
+        ("1:0x1", "'0x1'"),
+        ("1:\u00b2", "'\u00b2'"),  # a digit to str.isdigit, not to int()
+    ],
+)
+def test_iterate_refuses_non_decimal_terms(capsys, term, bad):
+    # the same rule as every other operand, in one stderr line
+    start = time.perf_counter()
+    code, out, err = run_cap(capsys, ["iterate", "3", "5", term, "1:1"])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: term {term!r}: not a decimal integer: {bad}\n"
+
+
 def test_exceptions_sorted(capsys):
     code, out, _ = run_cap(
         capsys, ["--json", "exceptions", "1", "1", "1", "1", "3", "--cap", "200"]
@@ -209,6 +228,26 @@ def test_grid_refuses_empty_sweep(capsys, flags, message):
     code, out, err = run_cap(capsys, ["grid", *flags])
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "m_max, window, targets",
+    [("12", "100000", 12142060710), ("6", "3000", 13652275)],
+)
+def test_grid_refuses_over_budget(capsys, m_max, window, targets):
+    # refused before any work, instead of a MemoryError or an unbounded run
+    start = time.perf_counter()
+    code, out, err = run_cap(capsys, ["grid", "--m-max", m_max, "--window", window])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: sweep targets must be <= 5*10**5, got {targets}\n"
+
+
+@pytest.mark.parametrize("flag", ["--m-max", "--window"])
+def test_grid_refuses_non_decimal_limits(capsys, flag):
+    code, out, err = run_cap(capsys, ["grid", flag, "1_0"])
+    assert code == 2 and out == ""
+    assert f"argument {flag}: not a decimal integer: '1_0'" in err
 
 
 def test_grid_discrepancy_json(capsys, monkeypatch):

@@ -14,7 +14,6 @@ from sumprod import (
     oracle_member_class,
     oracle_member_progression,
     progression_product_contains,
-    progression_sums_mask,
     strictness_demo,
 )
 
@@ -93,14 +92,53 @@ def test_progression_oracle_against_divisor_pair_strategy():
             assert got == want, (a, b, c, d, m, n_target)
 
 
-def test_progression_mask_matches_single_queries():
-    a, b, c, d, m = 2, 1, 1, 2, 3
-    cap = 300
-    mask = progression_sums_mask(a, b, c, d, m, cap)
-    for n_target in range(cap + 1):
-        assert bool((mask >> n_target) & 1) == (
-            oracle_member_progression(Instance(a, b, c, d, m, n_target))[0]
-        )
+def _nonneg_rows(x0, y0, m, cap):
+    # Row i holds the products (x0+i*m)(y0+j*m) <= cap for j = 0, 1, ...,
+    # which form an arithmetic progression in j; rows come in order of i.
+    # Positive x0, y0 keep the enumeration finite.
+    x = x0
+    while x * y0 <= cap:
+        yield range(x * y0, cap + 1, x * m)
+        x += m
+
+
+def _first_quadruple_by_dict(a, b, c, d, m, n_target):
+    # The reference for oracle_member_progression: a dict of every right
+    # product to its first (k, l), then the left products in (i, j) order.
+    if n_target < a * b + c * d:
+        return False, None
+    right = {}
+    for k, row in enumerate(_nonneg_rows(c, d, m, n_target - a * b)):
+        for l, p in enumerate(row):
+            if p not in right:
+                right[p] = (k, l)
+    for i, row in enumerate(_nonneg_rows(a, b, m, n_target - c * d)):
+        for j, p in enumerate(row):
+            got = right.get(n_target - p)
+            if got is not None:
+                return True, (i, j, got[0], got[1])
+    return False, None
+
+
+def _lexicographic_cases():
+    for a, b, c, d in itertools.product(range(1, 4), repeat=4):
+        for m in range(1, 4):
+            for n_target in range(a * b + c * d - 2 * m, 131):
+                yield a, b, c, d, m, n_target
+    rng = random.Random(12)
+    for _ in range(200):
+        a, b, c, d = (rng.randint(1, 20) for _ in range(4))
+        yield a, b, c, d, rng.randint(1, 9), rng.randint(0, 1500)
+
+
+def test_progression_oracle_lexicographic_first():
+    # the same (bool, quadruple) as the dict reference, off-residue and
+    # below-base targets included
+    cases = list(_lexicographic_cases())
+    assert len(cases) == 31_061
+    for case in cases:
+        got = oracle_member_progression(Instance(*case))
+        assert got == _first_quadruple_by_dict(*case), case
 
 
 def _mask_by_shifts(a, b, c, d, m, cap):
@@ -109,11 +147,11 @@ def _mask_by_shifts(a, b, c, d, m, cap):
     if cap < a * b + c * d:
         return 0
     left = 0
-    for row in sumprod.oracle._nonneg_rows(a, b, m, cap - c * d):
+    for row in _nonneg_rows(a, b, m, cap - c * d):
         for p in row:
             left |= 1 << p
     total = 0
-    for q in set().union(*sumprod.oracle._nonneg_rows(c, d, m, cap - a * b)):
+    for q in set().union(*_nonneg_rows(c, d, m, cap - a * b)):
         total |= left << q
     return total & ((1 << (cap + 1)) - 1)
 
@@ -131,10 +169,21 @@ def _sums_mask_cases():
 
 
 def test_sums_mask_matches_shift_reference():
+    # bit t of the folded mask is the reference's bit ab + cd + m*t
     cases = list(_sums_mask_cases())
     assert len(cases) == 1920
-    for case in cases:
-        assert progression_sums_mask(*case) == _mask_by_shifts(*case), case
+    for a, b, c, d, m, cap in cases:
+        want = _mask_by_shifts(a, b, c, d, m, cap)
+        base = a * b + c * d
+        if cap < base:
+            assert want == 0, (a, b, c, d, m, cap)
+            continue
+        top = (cap - base) // m
+        folded = sumprod.oracle._folded_sums_mask(a, b, c, d, m, top)
+        got = format(folded, "b").zfill(top + 1)[::-1]
+        assert got == format(want, "b").zfill(cap + 1)[::-1][base::m], (
+            a, b, c, d, m, cap,
+        )
 
 
 @pytest.mark.parametrize("x0, y0, m", [(1, 1, 1), (2, 3, 1), (3, 2, 4), (5, 1, 7)])
@@ -185,6 +234,36 @@ def test_grid_m1_trivial():
 def test_grid_rejects_oversize():
     with pytest.raises(ValueError):
         grid_verify_theorem(m_max=13)
+
+
+@pytest.mark.parametrize(
+    "m_max, k_window, message",
+    [
+        (12, 100000, r"sweep targets must be <= 5\*10\*\*5, got 12142060710"),
+        (6, 3000, r"sweep targets must be <= 5\*10\*\*5, got 13652275"),
+        (3, 1000, r"table must be <= 5\*10\*\*6 entries, got 36228361"),
+    ],
+    ids=["targets-12-100000", "targets-6-3000", "table-3-1000"],
+)
+def test_grid_refuses_over_budget(monkeypatch, m_max, k_window, message):
+    # refused before the first class-side table is built
+    def refused(*args):
+        raise AssertionError("table built for a refused sweep")
+
+    monkeypatch.setattr(sumprod.oracle, "_class_products", refused)
+    with pytest.raises(ValueError, match=message):
+        grid_verify_theorem(m_max=m_max, k_window=k_window)
+
+
+@pytest.mark.parametrize("m_max, k_window", [(3, 200), (8, 20)])
+def test_grid_budget_admits_the_largest_sweeps(monkeypatch, m_max, k_window):
+    # perfbench's (3, 200) and the desk-scale (8, 20) get to their first table
+    def first_table(*args):
+        raise LookupError
+
+    monkeypatch.setattr(sumprod.oracle, "_class_products", first_table)
+    with pytest.raises(LookupError):
+        grid_verify_theorem(m_max=m_max, k_window=k_window)
 
 
 def test_grid_catches_injected_fault():

@@ -55,7 +55,7 @@ def _dilated_rows():
 def _large_moduli_instances():
     # 200 seeded instances each with 128-, 256- and 512-bit moduli.  Every
     # second one multiplies a, c and m by a shared factor, so m' > 1 and the
-    # unit solve runs both of its extended gcds.
+    # unit solve takes both of its Bezout pairs, (gcd(b, d), m') and (b, d).
     rng = random.Random(2026)
     for bits in (128, 256, 512):
         for i in range(200):
