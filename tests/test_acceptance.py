@@ -226,7 +226,7 @@ def _iter_check(terms, m, rng, pair_oracle_rate):
         products = _class_products(a21, a22, m, box)
         order = _centered(box)
         for n_target in valid_targets:
-            hit = _first_pair(a11, a12, m, n_target - tail, order, products)
+            hit = _first_pair(a11, a12, m, n_target - tail, box, order, products)
             assert hit is not None, (spec, n_target)
 
 

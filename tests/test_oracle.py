@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from typing import Optional, Sequence
 
 import pytest
 
@@ -48,21 +49,119 @@ def test_class_oracle_parity_obstruction():
     assert not ok and quad is None
 
 
+def _lexicographic_class_cases():
+    yield Instance(1, 1, 1, 1, 1, 4), SearchBox(-2, 2)
+    rng = random.Random(13)
+    for _ in range(150):
+        m = rng.randint(1, 4)
+        a, b, c, d = (rng.randint(-m, 2 * m) for _ in range(4))
+        lo = rng.randint(-4, 1)
+        box = SearchBox(lo, lo + rng.randint(0, 4))
+        # members at random indices, and targets that are mostly not
+        i, j, k, l = (rng.randint(box.lo, box.hi) for _ in range(4))
+        member = (a + i * m) * (b + j * m) + (c + k * m) * (d + l * m)
+        yield Instance(a, b, c, d, m, member), box
+        yield Instance(a, b, c, d, m, rng.randint(-60, 60)), box
+    # the first (i, j) leaves 0 for a zero class-side factor at k = -1, and
+    # every l pairs with it: l is box.lo
+    yield Instance(3, 5, 2, 5, 2, -1), SearchBox(-2, 1)
+
+
 def test_class_oracle_lexicographic_first():
-    inst = Instance(1, 1, 1, 1, 1, 4)
-    ok, quad = oracle_member_class(inst, SearchBox(-2, 2))
-    assert ok
-    # recompute the lexicographic minimum by brute force
-    best = None
-    for i in range(-2, 3):
-        for j in range(-2, 3):
-            for k in range(-2, 3):
-                for l in range(-2, 3):
-                    if (1 + i) * (1 + j) + (1 + k) * (1 + l) == 4:
-                        cand = (i, j, k, l)
-                        if best is None or cand < best:
-                            best = cand
-    assert quad == best
+    cases = list(_lexicographic_class_cases())
+    assert len(cases) == 302
+    for inst, box in cases:
+        a, b, c, d, m = inst.a, inst.b, inst.c, inst.d, inst.m
+        ok, quad = oracle_member_class(inst, box)
+        # recompute the lexicographic minimum by brute force
+        span = range(box.lo, box.hi + 1)
+        best = next(
+            (
+                (i, j, k, l)
+                for i, j, k, l in itertools.product(span, repeat=4)
+                if (a + i * m) * (b + j * m) + (c + k * m) * (d + l * m) == inst.N
+            ),
+            None,
+        )
+        assert (ok, quad) == (best is not None, best), (inst, box)
+    assert oracle_member_class(Instance(3, 5, 2, 5, 2, -1), SearchBox(-2, 1)) == (
+        True,
+        (-2, -2, -1, -2),
+    )
+
+
+def _class_products_by_set(c: int, d: int, m: int, box: SearchBox) -> set[int]:
+    # Every (c+k*m)(d+l*m) with k and l in the box: the class side of the
+    # meet-in-the-middle search.
+    span = range(box.lo, box.hi + 1)
+    return {(c + k * m) * (d + l * m) for k in span for l in span}
+
+
+def _first_pair_by_set(
+    a: int, b: int, m: int, n_target: int, order: Sequence[int], products: set[int]
+) -> Optional[tuple[int, int]]:
+    # First (i, j) in order x order with N - (a+i*m)(b+j*m) in products.
+    for i in order:
+        ai = a + i * m
+        for j in order:
+            if n_target - ai * (b + j * m) in products:
+                return i, j
+    return None
+
+
+def _class_table_cases():
+    # (a, b, c, d, m, table box, pair box): asymmetric boxes, m = 1, zero
+    # class-side factors (c = m at k = -1, c = 0 at k = 0) and pair boxes
+    # that are narrower than, or stick out of, the table's box
+    boxes = [SearchBox(*ends) for ends in ((-3, 1), (-1, 4), (0, 3), (2, 5), (-4, -1))]
+    for m in (1, 2, 3):
+        for c, d in ((m, 1), (1, m), (0, 2), (-1, m + 1), (m + 1, -m)):
+            for box in boxes:
+                yield 1, m, c, d, m, box, box
+                yield -m, 2, c, d, m, box, SearchBox(box.lo + 1, box.hi + 1)
+    rng = random.Random(14)
+    for _ in range(200):
+        m = rng.randint(1, 6)
+        a, b, c, d = (rng.randint(-2 * m, 2 * m) for _ in range(4))
+        lo, lo_pair = rng.randint(-6, 3), rng.randint(-6, 3)
+        box = SearchBox(lo, lo + rng.randint(0, 7))
+        yield a, b, c, d, m, box, SearchBox(lo_pair, lo_pair + rng.randint(0, 7))
+
+
+def test_class_table_matches_set_reference():
+    # the byte table holds exactly the set's products over exactly their
+    # range, and every target, negative, off the products' residue class or
+    # outside their range included,
+    # gets the set search's (i, j) in the centered and the ascending order
+    cases = list(_class_table_cases())
+    assert len(cases) == 350
+    queries = 0
+    for a, b, c, d, m, box, pair_box in cases:
+        pair_ends = (pair_box.lo, pair_box.hi)
+        products = _class_products_by_set(c, d, m, box)
+        low, buf = table = sumprod.oracle._class_products(c, d, m, box)
+        assert low == min(products) and len(buf) == (max(products) - low) // m + 1
+        assert set(buf) <= {0, 1}
+        assert {low + m * p for p, flag in enumerate(buf) if flag} == products
+        # past either end of the table by the largest pair-side product, in
+        # the class N - ab = low mod m and one off it
+        reach = max(
+            abs((a + i * m) * (b + j * m)) for i in pair_ends for j in pair_ends
+        )
+        first = low + a * b - m * (reach // m + 1)
+        end = low + a * b + m * len(buf) + reach
+        step = m * (1 + (end - first) // (60 * m))
+        targets = [n + off for n in range(first, end + 1, step) for off in (0, 1)]
+        ascending = range(pair_box.lo, pair_box.hi + 1)
+        for order in (sumprod.oracle._centered(pair_box), ascending):
+            for n_target in targets:
+                got = sumprod.oracle._first_pair(
+                    a, b, m, n_target, pair_box, order, table
+                )
+                want = _first_pair_by_set(a, b, m, n_target, order, products)
+                assert got == want, (a, b, c, d, m, box, pair_box, n_target, order)
+                queries += 1
+    assert queries == 68_100
 
 
 def test_progression_oracle_examples():
@@ -211,19 +310,43 @@ def test_grid_small_clean():
     assert rep.values == 98 * 21
 
 
+def test_grid_perfbench_sweep_clean():
+    # the sweep perfbench's oracle_sweep repeats, every table included
+    rep = grid_verify_theorem(m_max=3, k_window=200)
+    assert rep.ok, rep.discrepancies[:5]
+    assert rep.instances == 98 and rep.values == 39_298
+
+
+def _far_table_bytes(m_max, k_window):
+    # The class-side table at c = d = m = m_max over the box the budget
+    # checks, [-half, half]: one byte per m values from the smallest corner
+    # product to the largest, 2*half*(half + 1)*m_max + 1.  Table size grows
+    # with c, d, m and the box, and every table of the sweep has c, d <= m <=
+    # m_max and a box no wider, so this is the sweep's largest.
+    far = Instance(m_max, m_max, m_max, m_max, m_max, m_max**2 * (2 + k_window))
+    box = SearchBox.default_for(far)
+    ends = [m_max + q * m_max for q in (box.lo, box.hi)]
+    corners = [x * y for x in ends for y in ends]
+    return (max(corners) - min(corners)) // m_max + 1
+
+
 def test_grid_builds_one_table_per_m_c_d(monkeypatch):
-    # one class-side table per (m, c, d): 1 + 4 + 9, not one per template
-    calls = []
+    # one class-side table per (m, c, d): 1 + 4 + 9, not one per template;
+    # the largest is the one _far_table_bytes sizes
+    calls, sizes = [], []
     build = sumprod.oracle._class_products
 
     def counting(*args):
         calls.append(args[:3])
-        return build(*args)
+        table = build(*args)
+        sizes.append(len(table[1]))
+        return table
 
     monkeypatch.setattr(sumprod.oracle, "_class_products", counting)
     rep = grid_verify_theorem(m_max=3, k_window=4)
     assert rep.ok and rep.instances == 98
     assert len(calls) == 14 and len(set(calls)) == 14
+    assert max(sizes) == _far_table_bytes(3, 4) == 2773
 
 
 def test_grid_m1_trivial():
@@ -242,8 +365,9 @@ def test_grid_rejects_oversize():
         (12, 100000, r"sweep targets must be <= 5\*10\*\*5, got 12142060710"),
         (6, 3000, r"sweep targets must be <= 5\*10\*\*5, got 13652275"),
         (3, 1000, r"table must be <= 5\*10\*\*6 entries, got 36228361"),
+        (5, 221, r"table must be <= 5\*10\*\*6 entries, got 5022081"),
     ],
-    ids=["targets-12-100000", "targets-6-3000", "table-3-1000"],
+    ids=["targets-12-100000", "targets-6-3000", "table-3-1000", "table-5-221"],
 )
 def test_grid_refuses_over_budget(monkeypatch, m_max, k_window, message):
     # refused before the first class-side table is built
@@ -255,15 +379,42 @@ def test_grid_refuses_over_budget(monkeypatch, m_max, k_window, message):
         grid_verify_theorem(m_max=m_max, k_window=k_window)
 
 
-@pytest.mark.parametrize("m_max, k_window", [(3, 200), (8, 20)])
-def test_grid_budget_admits_the_largest_sweeps(monkeypatch, m_max, k_window):
-    # perfbench's (3, 200) and the desk-scale (8, 20) get to their first table
+def _admitted(monkeypatch, m_max, k_window):
+    # Does the budget let the sweep get to its first table?  No table is built.
     def first_table(*args):
         raise LookupError
 
     monkeypatch.setattr(sumprod.oracle, "_class_products", first_table)
-    with pytest.raises(LookupError):
+    try:
         grid_verify_theorem(m_max=m_max, k_window=k_window)
+    except LookupError:
+        return True
+    except ValueError:
+        return False
+    raise AssertionError("the sweep ended without building a table")
+
+
+@pytest.mark.parametrize("m_max, k_window", [(3, 200), (8, 20), (5, 220)])
+def test_grid_budget_admits_the_largest_sweeps(monkeypatch, m_max, k_window):
+    # perfbench's (3, 200), the desk-scale (8, 20) and the budget's largest
+    # table, (5, 220), get to their first table
+    assert _admitted(monkeypatch, m_max, k_window)
+
+
+def test_grid_table_bytes_within_budget(monkeypatch):
+    # The widest window the budget admits for each m_max, found by bisection
+    # on the budget itself, and its largest table in bytes: at most
+    # 12,443,401 (11.9 MiB), at (5, 220).
+    widest = {}
+    for m_max in range(1, 13):
+        lo, hi = 0, 10**6  # admitted, refused
+        assert _admitted(monkeypatch, m_max, lo)
+        assert not _admitted(monkeypatch, m_max, hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _admitted(monkeypatch, m_max, mid) else (lo, mid)
+        widest[m_max] = _far_table_bytes(m_max, lo), lo
+    assert max(widest.values()) == (12_443_401, 220) == widest[5]
 
 
 def test_grid_catches_injected_fault():
