@@ -62,18 +62,26 @@ class SearchBox:
         return cls(-half, half)
 
 
+# Bytes a class-side table may take: 4x the largest a grid sweep admits.
+_MAX_TABLE_BYTES = 5 * 10**7
+
+
 def _class_products(c: int, d: int, m: int, box: SearchBox) -> tuple[int, bytearray]:
     # Every (c+k*m)(d+l*m) with k and l in the box, as a byte map: byte p is
     # 1 exactly when low + m*p is such a product, low the smallest.  Every
     # product is c*d mod m, so one byte stands for m values.  The product is
-    # bilinear in the two factors, so the box's corners bound it.  With k
+    # bilinear in the two factors, so the box's corners bound it, and a table
+    # over _MAX_TABLE_BYTES is refused before it is allocated.  With k
     # fixed the products over l step by |c+k*m|*m, so each row is one slice
     # store of stride |c+k*m|; the row with c+k*m = 0 is the value 0.
     count = box.hi - box.lo + 1
     ys = (d + box.lo * m, d + box.hi * m)
     corners = [x * y for x in (c + box.lo * m, c + box.hi * m) for y in ys]
     low = min(corners)
-    buf = bytearray((max(corners) - low) // m + 1)
+    size = (max(corners) - low) // m + 1
+    if size > _MAX_TABLE_BYTES:
+        raise ValueError(f"class-side table must be <= 5*10**7 bytes, got {size}")
+    buf = bytearray(size)
     ones = b"\x01" * count
     for k in range(box.lo, box.hi + 1):
         x = c + k * m
@@ -143,7 +151,9 @@ def oracle_member_class(
     lexicographically first quadruple (i, j, k, l), via a byte table of the
     class-side products rather than four nested loops.  The table holds one
     byte per m values between the smallest and largest class-side product,
-    about 2*max(|lo|, |hi|)**2*m bytes for a box around the origin.
+    about 2*max(|lo|, |hi|)**2*m bytes for a box around the origin; a box
+    whose table would take more than 5*10**7 bytes raises ValueError before
+    any work.
     """
     a, b, c, d, m, n_target = inst.a, inst.b, inst.c, inst.d, inst.m, inst.N
     span = range(box.lo, box.hi + 1)

@@ -10,9 +10,10 @@ least-r lift of (b, d) by the inverse of a'/m' modulo c'/m'.  The first
 step's Bezout pairs and that inverse come from math.gcd and pow(., -1, .).
 Every step before the lift, and that inverse, depends on the target only
 through k mod m', so it is built once per (template, k mod m') row and cached.
-Every trace field has an invariant that is a theorem, re-checked on every
-solve; a violation is a bug, never an input condition, and raises
-InternalInvariantError.
+Every trace field has an invariant that is a theorem.  The row's invariants
+are checked once, when the row is built; those that involve the target, and
+the certificate itself, are checked on every solve.  A violation is a bug,
+never an input condition, and raises InternalInvariantError.
 """
 
 from __future__ import annotations
@@ -54,9 +55,12 @@ class Instance:
     m: int
     N: int
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.m}")
+    # One dict update in place of the frozen dataclass's six
+    # object.__setattr__ calls; every other dataclass method is generated.
+    def __init__(self, a: int, b: int, c: int, d: int, m: int, N: int) -> None:
+        if m < 1:
+            raise ValueError(f"modulus must be >= 1, got {m}")
+        self.__dict__.update(a=a, b=b, c=c, d=d, m=m, N=N)
 
     def delta(self) -> int:
         return math.gcd(self.a, self.b, self.c, self.d, self.m)
@@ -123,12 +127,6 @@ class WitnessTrace:
     s: int
 
 
-def _rep_1_to_m(v: int, m: int) -> int:
-    # Representative of v mod m in [1, m]; the pipeline needs a, b, c, d >= 1.
-    r = v % m
-    return r if r else m
-
-
 def verify_witness(inst: Instance, w: Witness) -> bool:
     """Pure-arithmetic certificate check: four congruences plus the exact sum."""
     m = inst.m
@@ -147,15 +145,13 @@ def _component_box(a: int, b: int, c: int, d: int, m: int) -> tuple[int, int]:
     return a + (d + 1) * mm, c + (a + b + 1) * mm + (d + 1) * mm * mm
 
 
-# The names of validate_trace's checks, in the order it evaluates them.
-_TRACE_CHECKS = (
+# The names of validate_trace's checks, in the order it evaluates them: the
+# row half, which depends on the template and k mod m' alone, then the
+# target half.
+_ROW_CHECKS = (
     "m_prime",
-    "k",
-    "eq_A",
     "x_prime_window",
     "y_prime_window",
-    "eq_B_x",
-    "eq_B_y",
     "a0",
     "c0",
     "u_window",
@@ -166,55 +162,92 @@ _TRACE_CHECKS = (
     "a_prime",
     "c_prime",
     "gcd_final",
-    "congruence_mm",
     "ineq2_a",
     "ineq2_c",
+)
+_TARGET_CHECKS = (
+    "k",
+    "eq_A",
+    "eq_B_x",
+    "eq_B_y",
+    "congruence_mm",
     "ell",
     "lift",
     "r_window",
 )
+_TRACE_CHECKS = _ROW_CHECKS + _TARGET_CHECKS
+
+
+def _row_checks(
+    a: int, b: int, c: int, d: int, m: int, mp: int,
+    x_p: int, y_p: int, a0: int, c0: int, u: int,
+    a1: int, c1: int, v: int, a_p: int, c_p: int,
+) -> tuple[bool, ...]:
+    # The checks of _ROW_CHECKS, in order.
+    a_hi, c_hi = _component_box(a, b, c, d, m)
+    return (
+        mp == math.gcd(a, c, m),
+        0 <= x_p <= mp - 1,
+        b * m <= y_p <= b * m + mp - 1,
+        a0 == a + m * x_p,
+        c0 == c + m * y_p,
+        0 <= u < mp,
+        a1 == a0 + d * m * u,
+        c1 == c0 - b * m * u,
+        math.gcd(math.gcd(a1, c1) // mp, mp) == 1,
+        0 <= v <= a1,
+        a_p == a1,
+        c_p == c1 + m * mp * v,
+        math.gcd(a_p, c_p) == mp,
+        a <= a_p <= a_hi,
+        c <= c_p <= c_hi,
+    )
+
+
+def _target_checks(
+    inst: Instance, mp: int, k: int, x: int, y: int, z: int,
+    x_p: int, y_p: int, q_x: int, q_y: int,
+    a_p: int, c_p: int, ell: int, r: int, s: int,
+) -> tuple[bool, ...]:
+    # The checks of _TARGET_CHECKS, in order.
+    b, d, m, n_target = inst.b, inst.d, inst.m, inst.N
+    mmp = m * mp
+    rem = n_target - (a_p * b + c_p * d)
+    return (
+        n_target == inst.a * b + inst.c * d + k * m,
+        b * x + d * y + mp * z == k,
+        x == q_x * mp + x_p,
+        y == q_y * mp + y_p,
+        rem % mmp == 0,
+        ell * mmp == rem,
+        a_p * r + c_p * s == ell * mp,
+        0 <= r < c_p // mp,
+    )
+
+
+def _violations(names: tuple[str, ...], oks: tuple[bool, ...]) -> list[str]:
+    return [name for name, ok in zip(names, oks) if not ok]
 
 
 def validate_trace(trace: WitnessTrace) -> None:
-    """Re-check every trace invariant; raise InternalInvariantError on failure.
+    """Check every trace invariant; raise InternalInvariantError on failure.
 
-    These are the intermediate claims of the existence proof, asserted as
-    runtime checks on every successful solve.
+    These are the intermediate claims of the existence proof.  A solve checks
+    the row half once, when it builds the row, and the target half on every
+    solve; this runs both halves on any trace.
     """
     t = trace
     i = t.instance
-    a, b, c, d, m, n_target = i.a, i.b, i.c, i.d, i.m, i.N
-    mp = t.m_prime
-    a_hi, c_hi = _component_box(a, b, c, d, m)
-    rem = n_target - (t.a_prime * b + t.c_prime * d)
-    oks = (
-        mp == math.gcd(a, c, m),
-        n_target == a * b + c * d + t.k * m,
-        b * t.x + d * t.y + mp * t.z == t.k,
-        0 <= t.x_prime <= mp - 1,
-        b * m <= t.y_prime <= b * m + mp - 1,
-        t.x == t.q_x * mp + t.x_prime,
-        t.y == t.q_y * mp + t.y_prime,
-        t.a0 == a + m * t.x_prime,
-        t.c0 == c + m * t.y_prime,
-        0 <= t.u < mp,
-        t.a1 == t.a0 + d * m * t.u,
-        t.c1 == t.c0 - b * m * t.u,
-        math.gcd(math.gcd(t.a1, t.c1) // mp, mp) == 1,
-        0 <= t.v <= t.a1,
-        t.a_prime == t.a1,
-        t.c_prime == t.c1 + m * mp * t.v,
-        math.gcd(t.a_prime, t.c_prime) == mp,
-        rem % (m * mp) == 0,
-        a <= t.a_prime <= a_hi,
-        c <= t.c_prime <= c_hi,
-        t.ell * (m * mp) == rem,
-        t.a_prime * t.r + t.c_prime * t.s == t.ell * mp,
-        0 <= t.r < t.c_prime // mp,
+    oks = _row_checks(
+        i.a, i.b, i.c, i.d, i.m, t.m_prime, t.x_prime, t.y_prime,
+        t.a0, t.c0, t.u, t.a1, t.c1, t.v, t.a_prime, t.c_prime,
+    ) + _target_checks(
+        i, t.m_prime, t.k, t.x, t.y, t.z, t.x_prime, t.y_prime, t.q_x, t.q_y,
+        t.a_prime, t.c_prime, t.ell, t.r, t.s,
     )
     if all(oks):
         return
-    failed = [name for name, ok in zip(_TRACE_CHECKS, oks) if not ok]
+    failed = _violations(_TRACE_CHECKS, oks)
     raise InternalInvariantError(f"trace invariants violated: {failed}; trace={t!r}")
 
 
@@ -270,6 +303,13 @@ def _row(
     else:
         raise InternalInvariantError(f"no v-shift up to a1={a1} for c1={c1}")
 
+    oks = _row_checks(a, b, c, d, m, m_p, x_p, y_p, a0, c0, u, a1, c1, v, a_p, c_p)
+    if not all(oks):
+        # Raised, so the row is never cached.
+        raise InternalInvariantError(
+            f"row invariants violated: {_violations(_ROW_CHECKS, oks)}; "
+            f"(a,b,c,d,m,k mod m')=({a},{b},{c},{d},{m},{k_res})"
+        )
     big_a, big_c = a_p // m_p, c_p // m_p
     return (
         (x1, y1, z1),
@@ -286,19 +326,36 @@ def _solve_core(inst: Instance) -> tuple[Witness, WitnessTrace]:
     k = (N - (a * b + c * d)) // m
     m_p = math.gcd(a, c, m)
     (x1, y1, z1), (x_p, y_p), steps, lift = _row(a, b, c, d, m, k % m_p)
-    x, y = k * x1, k * y1
+    x, y, z = k * x1, k * y1, k * z1
+    q_x, q_y = (x - x_p) // m_p, (y - y_p) // m_p
     a_p, c_p = steps[6:]
     # The lift of (b, d): b' = b + m*r, d' = d + m*s with the least r >= 0,
     # which leaves the largest s.
     ell = (N - (a_p * b + c_p * d)) // (m * m_p)
     r, s = _least_r_lift(*lift, ell)
     trace = WitnessTrace(
-        inst, m_p, k, x, y, k * z1,
-        x_p, y_p, (x - x_p) // m_p, (y - y_p) // m_p,
-        *steps, ell, r, s,
+        inst, m_p, k, x, y, z, x_p, y_p, q_x, q_y, *steps, ell, r, s
     )
-    validate_trace(trace)
+    # _row checked the row half; a failure here is reported by name.
+    if not all(
+        _target_checks(inst, m_p, k, x, y, z, x_p, y_p, q_x, q_y, a_p, c_p, ell, r, s)
+    ):
+        validate_trace(trace)
     return Witness(a_p, b + m * r, c_p, d + m * s), trace
+
+
+def _solve_coprime(inst: Instance) -> Optional[tuple[Witness, WitnessTrace]]:
+    # solve_class once gcd(a, b, c, d, m) = 1 is known.  Templates move to
+    # their representatives in [1, m]: the pipeline needs a, b, c, d >= 1.
+    a, b, c, d, m, N = inst.a, inst.b, inst.c, inst.d, inst.m, inst.N
+    an, bn, cn, dn = a % m or m, b % m or m, c % m or m, d % m or m
+    if (N - (an * bn + cn * dn)) % m != 0:
+        return None
+    moved = (an, bn, cn, dn) != (a, b, c, d)
+    w, trace = _solve_core(Instance(an, bn, cn, dn, m, N) if moved else inst)
+    if not verify_witness(inst, w):
+        raise InternalInvariantError(f"witness failed verification: {w!r} for {inst!r}")
+    return w, trace
 
 
 def solve_class(inst: Instance) -> Optional[tuple[Witness, WitnessTrace]]:
@@ -309,24 +366,11 @@ def solve_class(inst: Instance) -> Optional[tuple[Witness, WitnessTrace]]:
     to their representatives in [1, m], which the positivity arguments of
     the construction require (congruences are unaffected).
     """
-    a, b, c, d, m, N = inst.a, inst.b, inst.c, inst.d, inst.m, inst.N
-    if math.gcd(a, b, c, d, m) != 1:
+    if math.gcd(inst.a, inst.b, inst.c, inst.d, inst.m) != 1:
         raise ValueError(
             "gcd(a, b, c, d, m) != 1: use solve_dilated for the general case"
         )
-    an, bn, cn, dn = (
-        _rep_1_to_m(a, m),
-        _rep_1_to_m(b, m),
-        _rep_1_to_m(c, m),
-        _rep_1_to_m(d, m),
-    )
-    if (N - (an * bn + cn * dn)) % m != 0:
-        return None
-    moved = (an, bn, cn, dn) != (a, b, c, d)
-    w, trace = _solve_core(Instance(an, bn, cn, dn, m, N) if moved else inst)
-    if not verify_witness(inst, w):
-        raise InternalInvariantError(f"witness failed verification: {w!r} for {inst!r}")
-    return w, trace
+    return _solve_coprime(inst)
 
 
 def _solve_dilated_traced(
@@ -335,8 +379,8 @@ def _solve_dilated_traced(
     # Shared by solve_dilated and the CLI (which also wants the trace).
     delta = inst.delta()
     if delta == 1:
-        # solve_class has already verified this witness against inst.
-        got = solve_class(inst)
+        # _solve_coprime has already verified this witness against inst.
+        got = _solve_coprime(inst)
         return None if got is None else (got[0], 1, got[1])
     base = inst.a * inst.b + inst.c * inst.d
     if (inst.N - base) % (delta * inst.m) != 0:
@@ -352,7 +396,7 @@ def _solve_dilated_traced(
         inst.m // delta,
         inst.N // (delta * delta),
     )
-    got = solve_class(reduced)
+    got = _solve_coprime(reduced)
     if got is None:
         raise InternalInvariantError(f"reduced instance unsolvable: {reduced!r}")
     w0, trace = got

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from typing import Optional, Sequence
 
 import pytest
@@ -88,6 +89,14 @@ def test_class_oracle_lexicographic_first():
         True,
         (-2, -2, -1, -2),
     )
+
+
+def test_class_oracle_refuses_an_oversize_table():
+    # the table would take about 2*10**10 bytes: refused before allocation
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"<= 5\*10\*\*7 bytes, got 20000000201"):
+        oracle_member_class(Instance(1, 1, 1, 1, 10**6, 2), SearchBox(-100, 100))
+    assert time.perf_counter() - start < 1.0
 
 
 def _class_products_by_set(c: int, d: int, m: int, box: SearchBox) -> set[int]:

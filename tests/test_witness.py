@@ -188,6 +188,69 @@ def test_trace_check_reported_by_name(name):
     assert f"'{name}'" in _violations(trace, **tampered)
 
 
+# ---------------------------------------------------------------- check halves
+
+def test_row_and_target_checks_partition_the_trace_checks():
+    row, target = witness._ROW_CHECKS, witness._TARGET_CHECKS
+    assert len(row) == 15 and len(target) == 8
+    assert not set(row) & set(target)
+    assert set(row) | set(target) == set(witness._TRACE_CHECKS)
+
+
+def test_failed_row_check_raises_and_is_not_cached(monkeypatch):
+    real = witness._row_checks
+
+    def u_gcd_fails(*args):
+        oks = real(*args)
+        at = witness._ROW_CHECKS.index("u_gcd")
+        return oks[:at] + (False,) + oks[at + 1 :]
+
+    monkeypatch.setattr(witness, "_row_checks", u_gcd_fails)
+    witness._row.cache_clear()
+    with pytest.raises(InternalInvariantError, match="'u_gcd'"):
+        solve_class(Instance(3, 5, 2, 2, 19, 152))
+    assert witness._row.cache_info().currsize == 0
+
+
+def test_target_checks_run_on_a_cached_row(monkeypatch):
+    # (r + C, s - A) is another lift of (b, d), so the certificate still
+    # verifies; only the target half's r_window can catch it
+    inst = Instance(3, 5, 2, 2, 19, 152)
+    witness._row.cache_clear()
+    solve_class(inst)
+    real = witness._least_r_lift
+
+    def off_window(big_a, big_c, inv, ell):
+        r, s = real(big_a, big_c, inv, ell)
+        return r + big_c, s - big_a
+
+    monkeypatch.setattr(witness, "_least_r_lift", off_window)
+    with pytest.raises(InternalInvariantError, match="'r_window'"):
+        solve_class(inst)
+    info = witness._row.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+# ---------------------------------------------------------------- Instance
+
+def test_instance_dataclass_contract():
+    inst = Instance(3, 5, 2, 2, 19, 152)
+    same = Instance(a=3, b=5, c=2, d=2, m=19, N=152)
+    assert inst == same and hash(inst) == hash(same)
+    assert inst != Instance(3, 5, 2, 2, 19, 171)
+    assert repr(inst) == "Instance(a=3, b=5, c=2, d=2, m=19, N=152)"
+    assert dataclasses.asdict(inst) == {
+        "a": 3, "b": 5, "c": 2, "d": 2, "m": 19, "N": 152
+    }
+    assert dataclasses.replace(inst, N=171) == Instance(3, 5, 2, 2, 19, 171)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.N = 171
+    with pytest.raises(ValueError, match=r"^modulus must be >= 1, got 0$"):
+        Instance(1, 1, 1, 1, 0, 5)
+    with pytest.raises(ValueError, match=r"^modulus must be >= 1, got 0$"):
+        dataclasses.replace(inst, m=0)
+
+
 # ---------------------------------------------------------------- row cache
 
 def test_row_cache_builds_a_template_once():
