@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .witness import Instance, InternalInvariantError, solve_class
+from .witness import Instance, InternalInvariantError, _solve_coprime
 
 __all__ = [
     "IteratedSpec",
@@ -97,7 +97,8 @@ def solve_iterated(spec: IteratedSpec, N: int) -> IteratedResult:
             return IteratedResult(NOT_MEMBER, None)
         tail = sum(math.prod(t) for t in spec.terms[2:])
         inst = Instance(a11, a12, a21, a22, m, N - tail)
-        got = solve_class(inst)
+        # gcd 1 is checked above, so solve_class's own gcd check is skipped.
+        got = _solve_coprime(inst, traced=False)
         if got is None:  # the residue was checked above
             raise InternalInvariantError(f"pair-led target unsolvable: {inst!r}")
         w = got[0]

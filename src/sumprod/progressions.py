@@ -8,6 +8,7 @@ measures exactly which targets have no one-sided decomposition at all.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -79,6 +80,16 @@ def _check_preconditions(a: int, b: int, c: int, d: int, m: int) -> None:
         raise ValueError("gcd(a, b, c, d, m) must be 1")
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _checked_threshold(a: int, b: int, c: int, d: int, m: int) -> ThresholdReport:
+    # Everything solve_progression needs of the template alone, once per
+    # template.  A failed check raises, and lru_cache caches no raise, so the
+    # template raises again on every call.  typed keeps True apart from 1, so
+    # the shared (frozen) report holds the caller's own values.
+    _check_preconditions(a, b, c, d, m)
+    return threshold_N0(a, b, c, d, m)
+
+
 def solve_progression(inst: Instance) -> ProgressionResult:
     """One-sided witness for N in P_m(ab+cd): all four components end up in
     their progressions (a' >= a, b' >= b, c' >= c, d' >= d).
@@ -88,17 +99,21 @@ def solve_progression(inst: Instance) -> ProgressionResult:
     anyway; when the lift has d' < d, no one-sided lift exists for the
     constructed (a', c') and the outcome is labelled below-threshold-failure
     rather than not-member.
+
+    The template's checks and its ThresholdReport are computed once per
+    template (the last 64 templates are kept) and shared by its results;
+    each target then costs one solve, which builds no WitnessTrace, and its
+    certificate check.
     """
     a, b, c, d, m, N = inst.a, inst.b, inst.c, inst.d, inst.m, inst.N
-    _check_preconditions(a, b, c, d, m)
-    report = threshold_N0(a, b, c, d, m)
+    report = _checked_threshold(a, b, c, d, m)
     base = a * b + c * d
     if N < base or (N - base) % m != 0:
         return ProgressionResult(NOT_MEMBER, None, report)
     if N == base:
         # Smallest member: the templates themselves already decompose it.
         return ProgressionResult(WITNESS, Witness(a, b, c, d), report)
-    w, _trace = _solve_core(inst)
+    w, _ = _solve_core(inst, traced=False)
     if w.d_prime < d:
         if N >= report.N0:
             raise InternalInvariantError(

@@ -14,6 +14,10 @@ Every trace field has an invariant that is a theorem.  The row's invariants
 are checked once, when the row is built; those that involve the target, and
 the certificate itself, are checked on every solve.  A violation is a bug,
 never an input condition, and raises InternalInvariantError.
+
+Only solve_class returns the trace, so only it builds one.  solve_dilated and
+the one-sided and iterated solvers run the same checks without it, and build
+one only to name a check that fails.
 """
 
 from __future__ import annotations
@@ -319,7 +323,9 @@ def _row(
     )
 
 
-def _solve_core(inst: Instance) -> tuple[Witness, WitnessTrace]:
+def _solve_core(
+    inst: Instance, traced: bool = True
+) -> tuple[Witness, Optional[WitnessTrace]]:
     # Pre: a, b, c, d >= 1, gcd(a, b, c, d, m) = 1, N ≡ ab + cd (mod m).
     # The witness is integral; the one-sided caller checks d' >= d itself.
     a, b, c, d, m, N = inst.a, inst.b, inst.c, inst.d, inst.m, inst.N
@@ -333,18 +339,24 @@ def _solve_core(inst: Instance) -> tuple[Witness, WitnessTrace]:
     # which leaves the largest s.
     ell = (N - (a_p * b + c_p * d)) // (m * m_p)
     r, s = _least_r_lift(*lift, ell)
-    trace = WitnessTrace(
-        inst, m_p, k, x, y, z, x_p, y_p, q_x, q_y, *steps, ell, r, s
-    )
-    # _row checked the row half; a failure here is reported by name.
-    if not all(
+    # _row checked the row half; the target half runs on every solve, and a
+    # failure is reported by name from the full trace.
+    ok = all(
         _target_checks(inst, m_p, k, x, y, z, x_p, y_p, q_x, q_y, a_p, c_p, ell, r, s)
-    ):
+    )
+    trace = None
+    if traced or not ok:
+        trace = WitnessTrace(
+            inst, m_p, k, x, y, z, x_p, y_p, q_x, q_y, *steps, ell, r, s
+        )
+    if not ok:
         validate_trace(trace)
     return Witness(a_p, b + m * r, c_p, d + m * s), trace
 
 
-def _solve_coprime(inst: Instance) -> Optional[tuple[Witness, WitnessTrace]]:
+def _solve_coprime(
+    inst: Instance, traced: bool = True
+) -> Optional[tuple[Witness, Optional[WitnessTrace]]]:
     # solve_class once gcd(a, b, c, d, m) = 1 is known.  Templates move to
     # their representatives in [1, m]: the pipeline needs a, b, c, d >= 1.
     a, b, c, d, m, N = inst.a, inst.b, inst.c, inst.d, inst.m, inst.N
@@ -352,7 +364,7 @@ def _solve_coprime(inst: Instance) -> Optional[tuple[Witness, WitnessTrace]]:
     if (N - (an * bn + cn * dn)) % m != 0:
         return None
     moved = (an, bn, cn, dn) != (a, b, c, d)
-    w, trace = _solve_core(Instance(an, bn, cn, dn, m, N) if moved else inst)
+    w, trace = _solve_core(Instance(an, bn, cn, dn, m, N) if moved else inst, traced)
     if not verify_witness(inst, w):
         raise InternalInvariantError(f"witness failed verification: {w!r} for {inst!r}")
     return w, trace
@@ -374,13 +386,13 @@ def solve_class(inst: Instance) -> Optional[tuple[Witness, WitnessTrace]]:
 
 
 def _solve_dilated_traced(
-    inst: Instance,
-) -> Optional[tuple[Witness, int, WitnessTrace]]:
-    # Shared by solve_dilated and the CLI (which also wants the trace).
+    inst: Instance, traced: bool = True
+) -> Optional[tuple[Witness, int, Optional[WitnessTrace]]]:
+    # Shared by solve_dilated (untraced) and the CLI (which wants the trace).
     delta = inst.delta()
     if delta == 1:
         # _solve_coprime has already verified this witness against inst.
-        got = _solve_coprime(inst)
+        got = _solve_coprime(inst, traced)
         return None if got is None else (got[0], 1, got[1])
     base = inst.a * inst.b + inst.c * inst.d
     if (inst.N - base) % (delta * inst.m) != 0:
@@ -396,7 +408,7 @@ def _solve_dilated_traced(
         inst.m // delta,
         inst.N // (delta * delta),
     )
-    got = _solve_coprime(reduced)
+    got = _solve_coprime(reduced, traced)
     if got is None:
         raise InternalInvariantError(f"reduced instance unsolvable: {reduced!r}")
     w0, trace = got
@@ -421,7 +433,7 @@ def solve_dilated(inst: Instance) -> Optional[tuple[Witness, int]]:
     Returns None exactly when N !≡ ab + cd (mod delta*m); the returned
     witness satisfies the congruences for the original modulus m.
     """
-    got = _solve_dilated_traced(inst)
+    got = _solve_dilated_traced(inst, traced=False)
     if got is None:
         return None
     return got[0], got[1]

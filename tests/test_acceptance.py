@@ -150,6 +150,7 @@ def test_criterion_4_progressions():
                 inst = Instance(a, b, c, d, m, n_target)
                 res = solve_progression(inst)
                 assert res.status == "witness", (inst, res.status)
+                assert res.threshold == rep
                 w = res.witness
                 assert verify_witness(inst, w)
                 assert w.a_prime >= a and w.b_prime >= b

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumprod import GridReport, InternalInvariantError, Witness, WitnessTrace
 from sumprod.cli import run
@@ -426,3 +429,65 @@ def test_closed_stdout_exits_quietly():
         os.close(write_end)
         err = proc.stderr.read().decode()
     assert proc.returncode == 141 and err == ""
+
+
+# ---------------------------------------------------------------- fuzz gate
+
+# Operands as decimal strings: small values, zero, negatives and 5,000-digit
+# integers (built as text, past the int-to-str limit).  Half the operand
+# lists are all positive, and 1 is drawn often (m = 1 makes every target a
+# member), so that most verbs answer rather than refuse.
+def _big(sign):
+    return st.integers(0, 999_999).map(lambda tail: sign + "9" * 4994 + f"{tail:06d}")
+
+
+_POSITIVE = st.one_of(st.just("1"), st.integers(1, 40).map(str), _big(""))
+_OPERAND = st.one_of(st.integers(-5, 40).map(str), st.just("0"), _big(""), _big("-"))
+
+
+def _operands(n):
+    return st.one_of(
+        st.lists(_POSITIVE, min_size=n, max_size=n),
+        st.lists(_OPERAND, min_size=n, max_size=n),
+    )
+
+
+_TERM = st.lists(_OPERAND, min_size=1, max_size=3).map(
+    lambda coeffs: f"{len(coeffs)}:{','.join(coeffs)}"
+)
+
+# grid and demo are left out: their budgets admit runs over 2 s by design,
+# and their refusals are tested above.
+_VERB_ARGS = {
+    "witness": st.tuples(_operands(6), st.sampled_from([[], ["--trace"]])).map(
+        lambda t: t[0] + t[1]
+    ),
+    "check": _operands(10),
+    "threshold": _operands(5),
+    "progression": _operands(6),
+    "subgroup": _operands(6),
+    "exceptions": st.tuples(_operands(5), _OPERAND).map(
+        lambda t: t[0] + ["--cap", t[1]]
+    ),
+    "iterate": st.tuples(_operands(2), st.lists(_TERM, min_size=2, max_size=3)).map(
+        lambda t: t[0] + t[1]
+    ),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_VERB_ARGS))
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_every_verb_answers_or_refuses_in_budget(verb, data):
+    # every input either answers (0, 1) or is refused (2), never an internal
+    # error (3), and within 2 s
+    json_flag = data.draw(st.sampled_from([[], ["--json"]]))
+    argv = json_flag + [verb] + data.draw(_VERB_ARGS[verb])
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    elapsed = time.perf_counter() - start
+    shown = [a if len(a) <= 12 else f"<{len(a)} chars>" for a in argv]
+    assert code in (0, 1, 2), (shown, code, err.getvalue()[:300])
+    assert elapsed < 2.0, (shown, elapsed)

@@ -154,9 +154,9 @@ def test_iterated_member_search_refuses_negative_bound(bounds):
 
 
 def test_pair_led_unsolvable_is_an_invariant_error(capsys, monkeypatch):
-    # The residue check guarantees solve_class a result; if it ever returned
-    # None, that is a bug, reported like every other invariant.
-    monkeypatch.setattr("sumprod.iterated.solve_class", lambda inst: None)
+    # The residue check guarantees the pair solver a result; if it ever
+    # returned None, that is a bug, reported like every other invariant.
+    monkeypatch.setattr("sumprod.iterated._solve_coprime", lambda *args, **kw: None)
     spec = IteratedSpec(5, ((1, 2), (3, 4)))
     with pytest.raises(InternalInvariantError, match="pair-led"):
         solve_iterated(spec, 19)

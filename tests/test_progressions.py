@@ -4,6 +4,7 @@ import math
 import pytest
 
 import sumprod.oracle
+from sumprod import progressions
 from sumprod import (
     Instance,
     exceptional_set,
@@ -80,6 +81,40 @@ def test_solve_progression_rejects_bad_inputs():
         solve_progression(Instance(0, 1, 1, 1, 2, 10))
     with pytest.raises(ValueError):
         solve_progression(Instance(2, 2, 2, 2, 2, 8))
+
+
+def test_template_checked_and_sized_once(monkeypatch):
+    calls = []
+
+    def counting(*template):
+        calls.append(template)
+        return threshold_N0(*template)
+
+    monkeypatch.setattr(progressions, "threshold_N0", counting)
+    progressions._checked_threshold.cache_clear()
+    a, b, c, d, m = 1, 2, 2, 1, 3
+    reports = [
+        solve_progression(Instance(a, b, c, d, m, a * b + c * d + m * t)).threshold
+        for t in range(200)
+    ]
+    assert calls == [(a, b, c, d, m)]
+    assert all(rep is reports[0] for rep in reports)
+
+
+def test_failing_template_raises_on_every_call():
+    # a raise is not cached, so the checks stand on each call
+    progressions._checked_threshold.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="gcd"):
+            solve_progression(Instance(2, 2, 2, 2, 2, 10))
+
+
+def test_threshold_report_keeps_the_callers_types():
+    # True == 1 and they hash alike; the cache must not hand one's report
+    # to the other
+    first = solve_progression(Instance(1, 1, 1, 1, 1, 3)).threshold
+    rep = solve_progression(Instance(True, 1, 1, 1, 1, 3)).threshold
+    assert type(first.instance[0]) is int and rep.instance[0] is True
 
 
 def test_consistency_with_oracle():

@@ -9,11 +9,15 @@ from sumprod import witness
 from sumprod import (
     Instance,
     InternalInvariantError,
+    IteratedSpec,
     SearchBox,
     Witness,
+    WitnessTrace,
     oracle_member_class,
     solve_class,
     solve_dilated,
+    solve_iterated,
+    solve_progression,
     subgroup_witness,
     sylvester_nonneg,
     threshold_N0,
@@ -212,12 +216,9 @@ def test_failed_row_check_raises_and_is_not_cached(monkeypatch):
     assert witness._row.cache_info().currsize == 0
 
 
-def test_target_checks_run_on_a_cached_row(monkeypatch):
+def _off_window_lift(monkeypatch):
     # (r + C, s - A) is another lift of (b, d), so the certificate still
     # verifies; only the target half's r_window can catch it
-    inst = Instance(3, 5, 2, 2, 19, 152)
-    witness._row.cache_clear()
-    solve_class(inst)
     real = witness._least_r_lift
 
     def off_window(big_a, big_c, inv, ell):
@@ -225,10 +226,63 @@ def test_target_checks_run_on_a_cached_row(monkeypatch):
         return r + big_c, s - big_a
 
     monkeypatch.setattr(witness, "_least_r_lift", off_window)
+
+
+def test_target_checks_run_on_a_cached_row(monkeypatch):
+    inst = Instance(3, 5, 2, 2, 19, 152)
+    witness._row.cache_clear()
+    solve_class(inst)
+    _off_window_lift(monkeypatch)
     with pytest.raises(InternalInvariantError, match="'r_window'"):
         solve_class(inst)
     info = witness._row.cache_info()
     assert (info.hits, info.misses) == (1, 1)
+
+
+# The solvers that return no trace, each on the pair template (3, 5, 2, 2)
+# mod 19 at N = 152.
+_UNTRACED_SOLVES = {
+    "solve_dilated": solve_dilated,
+    "solve_progression": solve_progression,
+    "solve_iterated": lambda inst: solve_iterated(
+        IteratedSpec(inst.m, ((inst.a, inst.b), (inst.c, inst.d))), inst.N
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNTRACED_SOLVES))
+def test_untraced_solves_run_the_target_checks(monkeypatch, name):
+    # no trace is built, yet every target check still runs on a cached row,
+    # and a failure is still reported by name
+    inst = Instance(3, 5, 2, 2, 19, 152)
+    witness._row.cache_clear()
+    solve_class(inst)
+    _off_window_lift(monkeypatch)
+    with pytest.raises(InternalInvariantError, match="'r_window'"):
+        _UNTRACED_SOLVES[name](inst)
+    info = witness._row.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        Instance(3, 5, 2, 2, 19, 152),
+        Instance(-4, 30, 2, 7, 5, 104),  # templates moved into [1, m]
+        Instance(2, 4, 6, 8, 10, 76),  # delta = 2
+    ],
+)
+def test_traced_solves_return_a_valid_trace(inst):
+    # solve_class and the CLI's path return the full trace; solve_dilated's
+    # path builds none
+    if inst.delta() == 1:
+        w, trace = solve_class(inst)
+        assert isinstance(trace, WitnessTrace)
+        validate_trace(trace)
+    w, delta, trace = witness._solve_dilated_traced(inst)
+    assert isinstance(trace, WitnessTrace)
+    validate_trace(trace)
+    assert witness._solve_dilated_traced(inst, traced=False) == (w, delta, None)
 
 
 # ---------------------------------------------------------------- Instance
