@@ -79,23 +79,24 @@ def solve_iterated(spec: IteratedSpec, N: int) -> IteratedResult:
     terms against N minus the frozen tail.  Anything else: unsupported-shape,
     never a guess.
     """
-    ks = spec.shape()
-    m = spec.m
-    base = spec.base_value()
-    if ks[0] == 1:
+    # Lengths and base sum are read inline, not through shape() and
+    # base_value(): a method call each is a large share of one solve.
+    terms, m = spec.terms, spec.m
+    base = sum(math.prod(t) for t in terms)
+    if len(terms[0]) == 1:
         if (N - base) % m != 0:
             return IteratedResult(NOT_MEMBER, None)
         q = (N - base) // m
-        values = ((spec.terms[0][0] + q * m,),) + spec.terms[1:]
+        values = ((terms[0][0] + q * m,),) + terms[1:]
         return IteratedResult(WITNESS, IteratedWitness(values))
-    if ks[0] == ks[1] == 2:
-        a11, a12 = spec.terms[0]
-        a21, a22 = spec.terms[1]
+    if len(terms[0]) == len(terms[1]) == 2:
+        a11, a12 = terms[0]
+        a21, a22 = terms[1]
         if math.gcd(a11, a12, a21, a22, m) != 1:
             return IteratedResult(UNSUPPORTED_SHAPE, None)
         if (N - base) % m != 0:
             return IteratedResult(NOT_MEMBER, None)
-        tail = sum(math.prod(t) for t in spec.terms[2:])
+        tail = base - a11 * a12 - a21 * a22
         inst = Instance(a11, a12, a21, a22, m, N - tail)
         # gcd 1 is checked above, so solve_class's own gcd check is skipped.
         got = _solve_coprime(inst, traced=False)
@@ -105,7 +106,7 @@ def solve_iterated(spec: IteratedSpec, N: int) -> IteratedResult:
         values = (
             (w.a_prime, w.b_prime),
             (w.c_prime, w.d_prime),
-        ) + spec.terms[2:]
+        ) + terms[2:]
         return IteratedResult(WITNESS, IteratedWitness(values))
     return IteratedResult(UNSUPPORTED_SHAPE, None)
 

@@ -15,13 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
-from .classes import (
-    CongruenceClass,
-    Progression,
-    _positive_divisors,
-    product_class_contains,
-    progression_product_contains,
-)
+from .classes import CongruenceClass, product_class_contains
 from .witness import (
     Instance,
     InternalInvariantError,
@@ -434,25 +428,31 @@ def strictness_demo(scan_bound: int = 1000) -> StrictnessReport:
 
     The scan is bounded evidence only: showing the gap is infinite needs
     Dirichlet's theorem on primes in progressions, which this package does
-    not attempt.  Trial division makes the scan grow like scan_bound**1.5,
-    so a scan_bound above 10**6 is refused before any work.
+    not attempt.  The missing members are read from the product's member
+    indices (one slice store per row, about 2*sqrt(scan_bound/19) rows) and
+    their primes from one sieve of Eratosthenes up to scan_bound, so time
+    and memory grow about linearly in scan_bound.  A scan_bound above 10**7
+    is refused before any work.
     """
-    if scan_bound > 10**6:
-        raise ValueError(f"scan_bound must be <= 10**6, got {scan_bound}")
+    if scan_bound > 10**7:
+        raise ValueError(f"scan_bound must be <= 10**7, got {scan_bound}")
     r15 = CongruenceClass(15, 19)
     r3 = CongruenceClass(3, 19)
     r5 = CongruenceClass(5, 19)
     in_class = r15.contains(53)
     in_product = product_class_contains(r3, r5, 53)[0]
-    p3 = Progression(3, 19)
-    p5 = Progression(5, 19)
-    missing = [
-        n
-        for n in range(15, scan_bound + 1, 19)
-        if not progression_product_contains(p3, p5, n)[0]
-    ]
-    # Exact at every size: n >= 2 is prime exactly when its divisors are 1, n.
-    primes = [n for n in missing if _positive_divisors(n) == [1, n]]
+    # A negative bound scans nothing; clamped, it also sizes no buffer
+    # below zero.
+    limit = max(scan_bound, 0)
+    # 15 + 19*u is in P_19(3)·P_19(5) exactly when digit u is b"1".
+    digits = _index_digits(3, 5, 19, (limit - 15) // 19)
+    missing = [15 + 19 * u for u, digit in enumerate(digits) if digit == ord("0")]
+    # Every member is >= 15, so the entries for 0 and 1 are never read.
+    sieve = bytearray(b"\x01") * (limit + 1)
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    primes = [n for n in missing if sieve[n]]
     return StrictnessReport(
         in_class=in_class,
         in_product=in_product,

@@ -1,12 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumprod import (
-    CongruenceClass,
-    Progression,
-    product_class_contains,
-    progression_product_contains,
-)
+from sumprod import CongruenceClass, product_class_contains
 
 DET = settings(max_examples=300, derandomize=True, deadline=None)
 
@@ -106,29 +101,3 @@ def test_strictness_is_realized_below_100():
         if target.contains(n) and not product_class_contains(c1, c2, n)[0]
     ]
     assert 53 in found
-
-
-def test_progression_product_examples():
-    p3, p5 = Progression(3, 19), Progression(5, 19)
-    ok, pair = progression_product_contains(p3, p5, 15)
-    assert ok and pair == (3, 5)
-    assert not progression_product_contains(p3, p5, 34)[0]
-    assert not progression_product_contains(p3, p5, 53)[0]
-    assert not progression_product_contains(p3, p5, -15)[0]
-
-
-def test_progression_respects_initial_term():
-    # 3*5 = 15 qualifies, but 5 as the first factor needs x >= 22 ≡ 3 (mod 19)
-    p22, p5 = Progression(22, 19), Progression(5, 19)
-    assert not progression_product_contains(p22, p5, 15)[0]
-    ok, pair = progression_product_contains(p22, p5, 22 * 5)
-    assert ok and pair == (22, 5)
-
-
-def test_progression_validation():
-    with pytest.raises(ValueError):
-        Progression(0, 19)
-    with pytest.raises(ValueError):
-        Progression(3, 0)
-    with pytest.raises(ValueError):
-        progression_product_contains(Progression(1, 2), Progression(1, 3), 6)

@@ -275,12 +275,12 @@ def test_demo_contains_53(capsys):
 
 
 def test_demo_refuses_scan_bound_over_budget(capsys):
-    # refused before any scanning: a scan to 10**6 + 1 would take seconds
+    # refused before any scanning or allocation
     start = time.perf_counter()
-    code, out, err = run_cap(capsys, ["demo", "--bound", "1000001"])
+    code, out, err = run_cap(capsys, ["demo", "--bound", "10000001"])
     assert time.perf_counter() - start < 0.5
     assert code == 2 and out == ""
-    assert err == "error: scan_bound must be <= 10**6, got 1000001\n"
+    assert err == "error: scan_bound must be <= 10**7, got 10000001\n"
 
 
 def test_usage_errors(capsys):
@@ -456,8 +456,8 @@ _TERM = st.lists(_OPERAND, min_size=1, max_size=3).map(
     lambda coeffs: f"{len(coeffs)}:{','.join(coeffs)}"
 )
 
-# grid and demo are left out: their budgets admit runs over 2 s by design,
-# and their refusals are tested above.
+# grid is left out: its budget admits runs over 2 s by design, and its
+# refusals are tested above.
 _VERB_ARGS = {
     "witness": st.tuples(_operands(6), st.sampled_from([[], ["--trace"]])).map(
         lambda t: t[0] + t[1]
@@ -472,6 +472,7 @@ _VERB_ARGS = {
     "iterate": st.tuples(_operands(2), st.lists(_TERM, min_size=2, max_size=3)).map(
         lambda t: t[0] + t[1]
     ),
+    "demo": _OPERAND.map(lambda bound: ["--bound", bound]),
 }
 
 

@@ -9,15 +9,14 @@ import pytest
 import sumprod.oracle
 from sumprod import (
     Instance,
-    Progression,
     SearchBox,
     Witness,
     grid_verify_theorem,
     oracle_member_class,
     oracle_member_progression,
-    progression_product_contains,
     strictness_demo,
 )
+from sumprod.classes import _positive_divisors
 
 
 def test_search_box():
@@ -182,19 +181,26 @@ def test_progression_oracle_examples():
     assert not oracle_member_progression(Instance(1, 1, 1, 1, 2, -6))[0]
 
 
+def _in_progression_product(x0, y0, m, n):
+    # n ∈ P_m(x0)·P_m(y0) by divisor enumeration: some divisor x of n lies in
+    # P_m(x0) and its cofactor n // x in P_m(y0).
+    return n > 0 and any(
+        x >= x0 and (x - x0) % m == 0 and n // x >= y0 and (n // x - y0) % m == 0
+        for x in _positive_divisors(n)
+    )
+
+
 def test_progression_oracle_against_divisor_pair_strategy():
     # Independent second route: split N = p + q and decide each product side
     # by divisor enumeration.
     for a, b, c, d, m in ((1, 1, 1, 1, 2), (3, 5, 2, 2, 19)):
-        pa, pb = Progression(a, m), Progression(b, m)
-        pc, pd = Progression(c, m), Progression(d, m)
         for n_target in range(1, 501):
             got = oracle_member_progression(Instance(a, b, c, d, m, n_target))[0]
             want = False
             for p in range(a * b, n_target - c * d + 1):
-                if not progression_product_contains(pa, pb, p)[0]:
+                if not _in_progression_product(a, b, m, p):
                     continue
-                if progression_product_contains(pc, pd, n_target - p)[0]:
+                if _in_progression_product(c, d, m, n_target - p):
                     want = True
                     break
             assert got == want, (a, b, c, d, m, n_target)
@@ -461,16 +467,25 @@ def test_strictness_demo_tiny_bound():
     assert 15 not in rep.non_representable  # 15 = 3*5 is representable
 
 
-def _sieve(limit):
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, int(limit**0.5) + 1):
-        if flags[p]:
-            flags[p * p :: p] = b"\x00" * len(flags[p * p :: p])
-    return flags
+def _is_prime(n):
+    # Trial division: n >= 2 is prime exactly when its divisors are 1 and n.
+    return _positive_divisors(n) == [1, n]
 
 
 def test_strictness_demo_primes_match_sieve():
     rep = strictness_demo(20000)
-    flags = _sieve(20000)
-    assert rep.primes_found == [n for n in rep.non_representable if flags[n]]
+    assert rep.primes_found == [n for n in rep.non_representable if _is_prime(n)]
+
+
+@pytest.mark.parametrize("bound", [-5, 0, 14, 15, 34, 100, 1000, 20000, 123457])
+def test_strictness_demo_matches_divisor_scan(bound):
+    # Independent route: decide each member of P_19(15) up to the bound by
+    # divisor enumeration, and each missing one's primality by trial division.
+    missing = [
+        n
+        for n in range(15, bound + 1, 19)
+        if not _in_progression_product(3, 5, 19, n)
+    ]
+    rep = strictness_demo(bound)
+    assert rep.non_representable == missing
+    assert rep.primes_found == [n for n in missing if _is_prime(n)]
