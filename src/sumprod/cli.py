@@ -26,7 +26,7 @@ from .witness import (
     InternalInvariantError,
     Witness,
     WitnessTrace,
-    _solve_dilated_traced,
+    _solve,
     subgroup_witness,
     verify_witness,
 )
@@ -61,7 +61,7 @@ def _witness_line(w: Witness) -> str:
 
 def _cmd_witness(args) -> int:
     inst = Instance(args.a, args.b, args.c, args.d, args.m, args.N)
-    got = _solve_dilated_traced(inst)
+    got = _solve(inst, args.trace)
     if got is None:
         _emit(args, {"status": "not-member"}, "not-member")
         return EXIT_NEGATIVE

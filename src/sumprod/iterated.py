@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .witness import Instance, InternalInvariantError, _solve_coprime
+from .witness import Instance, InternalInvariantError, _solve
 
 __all__ = [
     "IteratedSpec",
@@ -98,8 +98,8 @@ def solve_iterated(spec: IteratedSpec, N: int) -> IteratedResult:
             return IteratedResult(NOT_MEMBER, None)
         tail = base - a11 * a12 - a21 * a22
         inst = Instance(a11, a12, a21, a22, m, N - tail)
-        # gcd 1 is checked above, so solve_class's own gcd check is skipped.
-        got = _solve_coprime(inst, traced=False)
+        # The gcd above picks the shape, so _solve finds delta = 1 here.
+        got = _solve(inst, False)
         if got is None:  # the residue was checked above
             raise InternalInvariantError(f"pair-led target unsolvable: {inst!r}")
         w = got[0]

@@ -62,10 +62,12 @@ def threshold_N0(a: int, b: int, c: int, d: int, m: int) -> ThresholdReport:
     """Exact integer evaluation of the representability threshold.
 
     Valid for the pipeline's smallest u, v shifts: they never exceed the CRT
-    shifts the box a' <= a_hi, c' <= c_hi is derived from.
+    shifts the box a' <= a_hi, c' <= c_hi is derived from.  Refuses, with
+    ValueError, the templates solve_progression refuses: a non-positive
+    parameter, or gcd(a, b, c, d, m) = delta > 1, whose one-sided sums are
+    delta^2 times the reduced template's and outgrow this N0's claim.
     """
-    if min(a, b, c, d, m) < 1:
-        raise ValueError("all parameters must be positive")
+    _check_preconditions(a, b, c, d, m)
     a_hi, c_hi = _component_box(a, b, c, d, m)
     n0 = a_hi * b + c_hi * d + m * a_hi * c_hi
     return ThresholdReport(n0, a_hi, c_hi, (a, b, c, d, m))
@@ -86,7 +88,6 @@ def _checked_threshold(a: int, b: int, c: int, d: int, m: int) -> ThresholdRepor
     # template.  A failed check raises, and lru_cache caches no raise, so the
     # template raises again on every call.  typed keeps True apart from 1, so
     # the shared (frozen) report holds the caller's own values.
-    _check_preconditions(a, b, c, d, m)
     return threshold_N0(a, b, c, d, m)
 
 

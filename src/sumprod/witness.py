@@ -13,11 +13,13 @@ through k mod m', so it is built once per (template, k mod m') row and cached.
 Every trace field has an invariant that is a theorem.  The row's invariants
 are checked once, when the row is built; those that involve the target, and
 the certificate itself, are checked on every solve.  A violation is a bug,
-never an input condition, and raises InternalInvariantError.
+never an input condition, and raises InternalInvariantError naming the check.
 
-Only solve_class returns the trace, so only it builds one.  solve_dilated and
-the one-sided and iterated solvers run the same checks without it, and build
-one only to name a check that fails.
+Every pair solve takes one path, _solve: divide a, b, c, d and m by
+delta = gcd(a, b, c, d, m), run the pipeline on the templates'
+representatives in [1, m/delta], multiply the witness by delta, and verify
+that one certificate against the caller's instance.  Only solve_class and
+the CLI's witness --trace return the trace, so only they build one.
 """
 
 from __future__ import annotations
@@ -339,35 +341,50 @@ def _solve_core(
     # which leaves the largest s.
     ell = (N - (a_p * b + c_p * d)) // (m * m_p)
     r, s = _least_r_lift(*lift, ell)
-    # _row checked the row half; the target half runs on every solve, and a
-    # failure is reported by name from the full trace.
-    ok = all(
-        _target_checks(inst, m_p, k, x, y, z, x_p, y_p, q_x, q_y, a_p, c_p, ell, r, s)
-    )
+    # _row checked the row half; the target half runs on every solve.
+    oks = _target_checks(inst, m_p, k, x, y, z, x_p, y_p, q_x, q_y, a_p, c_p, ell, r, s)
+    if not all(oks):
+        raise InternalInvariantError(
+            f"target invariants violated: {_violations(_TARGET_CHECKS, oks)}; "
+            f"{inst!r}"
+        )
     trace = None
-    if traced or not ok:
+    if traced:
         trace = WitnessTrace(
             inst, m_p, k, x, y, z, x_p, y_p, q_x, q_y, *steps, ell, r, s
         )
-    if not ok:
-        validate_trace(trace)
     return Witness(a_p, b + m * r, c_p, d + m * s), trace
 
 
-def _solve_coprime(
-    inst: Instance, traced: bool = True
-) -> Optional[tuple[Witness, Optional[WitnessTrace]]]:
-    # solve_class once gcd(a, b, c, d, m) = 1 is known.  Templates move to
-    # their representatives in [1, m]: the pipeline needs a, b, c, d >= 1.
+def _solve(
+    inst: Instance, traced: bool
+) -> Optional[tuple[Witness, int, Optional[WitnessTrace]]]:
+    # The dilated theorem in one move: divide a, b, c, d, m by delta, solve
+    # the coprime instance on the templates' representatives in [1, m/delta]
+    # (the construction needs them positive), and scale the witness back.
     a, b, c, d, m, N = inst.a, inst.b, inst.c, inst.d, inst.m, inst.N
-    an, bn, cn, dn = a % m or m, b % m or m, c % m or m, d % m or m
-    if (N - (an * bn + cn * dn)) % m != 0:
+    delta = math.gcd(a, b, c, d, m)
+    if (N - (a * b + c * d)) % (delta * m) != 0:
         return None
-    moved = (an, bn, cn, dn) != (a, b, c, d)
+    if delta != 1:
+        # N = ab + cd + t*delta*m = delta^2 * (AB + CD + t*M): divisibility
+        # is forced.
+        if N % (delta * delta) != 0:
+            raise InternalInvariantError(f"N not divisible by delta^2 for {inst!r}")
+        a, b, c, d, m = a // delta, b // delta, c // delta, d // delta, m // delta
+        N //= delta * delta
+    an, bn, cn, dn = a % m or m, b % m or m, c % m or m, d % m or m
+    moved = delta != 1 or (an, bn, cn, dn) != (a, b, c, d)
     w, trace = _solve_core(Instance(an, bn, cn, dn, m, N) if moved else inst, traced)
+    if delta != 1:
+        w = Witness(
+            delta * w.a_prime, delta * w.b_prime, delta * w.c_prime, delta * w.d_prime
+        )
+    # x ≡ a/delta (mod m/delta) exactly when delta*x ≡ a (mod m), and the sum
+    # scales by delta^2, so this one check on inst covers the reduced solve.
     if not verify_witness(inst, w):
         raise InternalInvariantError(f"witness failed verification: {w!r} for {inst!r}")
-    return w, trace
+    return w, delta, trace
 
 
 def solve_class(inst: Instance) -> Optional[tuple[Witness, WitnessTrace]]:
@@ -382,61 +399,20 @@ def solve_class(inst: Instance) -> Optional[tuple[Witness, WitnessTrace]]:
         raise ValueError(
             "gcd(a, b, c, d, m) != 1: use solve_dilated for the general case"
         )
-    return _solve_coprime(inst)
-
-
-def _solve_dilated_traced(
-    inst: Instance, traced: bool = True
-) -> Optional[tuple[Witness, int, Optional[WitnessTrace]]]:
-    # Shared by solve_dilated (untraced) and the CLI (which wants the trace).
-    delta = inst.delta()
-    if delta == 1:
-        # _solve_coprime has already verified this witness against inst.
-        got = _solve_coprime(inst, traced)
-        return None if got is None else (got[0], 1, got[1])
-    base = inst.a * inst.b + inst.c * inst.d
-    if (inst.N - base) % (delta * inst.m) != 0:
-        return None
-    # N = base + t*delta*m = delta^2 * (AB + CD + t*M): divisibility is forced.
-    if inst.N % (delta * delta) != 0:
-        raise InternalInvariantError(f"N not divisible by delta^2 for {inst!r}")
-    reduced = Instance(
-        inst.a // delta,
-        inst.b // delta,
-        inst.c // delta,
-        inst.d // delta,
-        inst.m // delta,
-        inst.N // (delta * delta),
-    )
-    got = _solve_coprime(reduced, traced)
-    if got is None:
-        raise InternalInvariantError(f"reduced instance unsolvable: {reduced!r}")
-    w0, trace = got
-    w = Witness(
-        delta * w0.a_prime,
-        delta * w0.b_prime,
-        delta * w0.c_prime,
-        delta * w0.d_prime,
-    )
-    # A different certificate from the reduced one: check it on inst itself.
-    if not verify_witness(inst, w):
-        raise InternalInvariantError(
-            f"dilated witness failed verification: {w!r} for {inst!r}"
-        )
-    return w, delta, trace
+    got = _solve(inst, True)
+    return None if got is None else (got[0], got[2])
 
 
 def solve_dilated(inst: Instance) -> Optional[tuple[Witness, int]]:
     """Witness for arbitrary gcd: divide through by delta = gcd(a, b, c, d, m),
     solve the coprime instance, and scale the witness back up.
 
-    Returns None exactly when N !≡ ab + cd (mod delta*m); the returned
-    witness satisfies the congruences for the original modulus m.
+    Returns None exactly when N !≡ ab + cd (mod delta*m); otherwise the
+    witness and delta.  The witness satisfies the congruences for the
+    original modulus m and is verified once, against inst itself.
     """
-    got = _solve_dilated_traced(inst, traced=False)
-    if got is None:
-        return None
-    return got[0], got[1]
+    got = _solve(inst, False)
+    return None if got is None else got[:2]
 
 
 def subgroup_witness(

@@ -96,6 +96,24 @@ def test_witness_human_trace_fields(capsys):
     assert names == [f.name for f in dataclasses.fields(WitnessTrace)]
 
 
+def test_witness_builds_a_trace_only_under_trace(capsys, monkeypatch):
+    def no_trace(*args):
+        raise AssertionError("WitnessTrace built")
+
+    argv = ["witness", "3", "5", "2", "2", "19", "152"]
+    monkeypatch.setattr("sumprod.witness.WitnessTrace", no_trace)
+    code, out, err = run_cap(capsys, argv)
+    assert (code, out, err) == (0, "delta=1\na'=3 b'=33179 c'=1807 d'=-55\n", "")
+    # the patch does bite: --trace builds one
+    code, out, err = run_cap(capsys, argv + ["--trace"])
+    assert code == 3 and "WitnessTrace built" in err
+    monkeypatch.undo()
+    code, out, _ = run_cap(capsys, argv + ["--trace"])
+    assert code == 0
+    names = [line.split("=", 1)[0] for line in out.splitlines()[2:]]
+    assert names == [f.name for f in dataclasses.fields(WitnessTrace)]
+
+
 def test_json_flag_position(capsys):
     code, first, _ = run_cap(capsys, ["--json", "demo", "--bound", "100"])
     assert code == 0
@@ -122,6 +140,16 @@ def test_threshold(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj == {"N0": 864, "a_hi": 9, "c_hi": 45, "instance": [1, 1, 1, 1, 2]}
+
+
+@pytest.mark.parametrize("verb", ["threshold", "progression", "exceptions"])
+def test_template_verbs_refuse_a_common_factor(capsys, verb):
+    # (2, 2, 2, 2) mod 2: its one-sided sums are 4 times those of
+    # (1, 1, 1, 1) mod 1, so the coprime threshold N0 = 2128 would be false
+    extra = {"threshold": [], "progression": ["10"], "exceptions": ["--cap", "10"]}
+    code, out, err = run_cap(capsys, [verb, "2", "2", "2", "2", "2", *extra[verb]])
+    assert code == 2 and out == ""
+    assert err == "error: gcd(a, b, c, d, m) must be 1\n"
 
 
 def test_progression_statuses(capsys):
@@ -302,10 +330,10 @@ def test_help_exits_zero(capsys):
 
 
 def test_internal_invariant_exit_code(capsys, monkeypatch):
-    def boom(inst):
+    def boom(inst, traced):
         raise InternalInvariantError("injected")
 
-    monkeypatch.setattr("sumprod.cli._solve_dilated_traced", boom)
+    monkeypatch.setattr("sumprod.cli._solve", boom)
     code, out, err = run_cap(capsys, ["witness", "1", "1", "1", "1", "2", "4"])
     assert code == 3
     assert "invariant" in err
@@ -313,10 +341,10 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
 
 def test_unexpected_exception_exit_code(capsys, monkeypatch):
     # a bug that is not an invariant check still exits 3, in one stderr line
-    def boom(inst):
+    def boom(inst, traced):
         raise ZeroDivisionError("injected")
 
-    monkeypatch.setattr("sumprod.cli._solve_dilated_traced", boom)
+    monkeypatch.setattr("sumprod.cli._solve", boom)
     code, out, err = run_cap(capsys, ["witness", "1", "1", "1", "1", "2", "4"])
     assert code == 3 and out == ""
     assert err == "internal error: ZeroDivisionError: injected\n"

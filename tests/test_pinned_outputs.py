@@ -48,7 +48,7 @@ def _dilated_instances():
 
 def _dilated_rows():
     for inst in _dilated_instances():
-        w, delta, trace = witness._solve_dilated_traced(inst)
+        w, delta, trace = witness._solve(inst, True)
         yield dataclasses.astuple(w), delta, dataclasses.astuple(trace)
 
 
@@ -90,7 +90,7 @@ def test_large_moduli_outputs_pinned():
     m_prime_above_1 = 0
     rows = []
     for inst in _large_moduli_instances():
-        w, delta, trace = witness._solve_dilated_traced(inst)
+        w, delta, trace = witness._solve(inst, True)
         m_prime_above_1 += trace.m_prime > 1
         rows.append((dataclasses.astuple(w), delta, dataclasses.astuple(trace)))
     assert m_prime_above_1 == 338

@@ -38,11 +38,22 @@ def test_threshold_rejects_nonpositive():
         threshold_N0(1, 1, -1, 1, 2)
 
 
+def test_threshold_rejects_common_factor():
+    # delta = 2: the coprime formula gives N0 = 2128, yet 2130 is a member of
+    # P_2(8) with no one-sided decomposition (every product is 0 mod 4)
+    assert oracle_member_progression(Instance(2, 2, 2, 2, 2, 2130)) == (False, None)
+    with pytest.raises(ValueError, match="gcd"):
+        threshold_N0(2, 2, 2, 2, 2)
+
+
 def test_threshold_dominates_growth_inequality():
     # N0 > a'b + c'd + m(a'-m')(c'-m') across the whole (a', c') box; the
-    # right side is monotone in a' and c', so corners suffice.
+    # right side is monotone in a' and c', so corners suffice.  Templates
+    # with a common factor have no N0 (test_threshold_rejects_common_factor).
     for m in range(1, 5):
         for a, b, c, d in itertools.product(range(1, 4), repeat=4):
+            if math.gcd(a, b, c, d, m) != 1:
+                continue
             rep = threshold_N0(a, b, c, d, m)
             for a_p in (a, rep.a_hi):
                 for c_p in (c, rep.c_hi):

@@ -252,16 +252,22 @@ _UNTRACED_SOLVES = {
 
 @pytest.mark.parametrize("name", sorted(_UNTRACED_SOLVES))
 def test_untraced_solves_run_the_target_checks(monkeypatch, name):
-    # no trace is built, yet every target check still runs on a cached row,
-    # and a failure is still reported by name
+    # no trace is built, not even to name a failure, yet every target check
+    # still runs on a cached row, and a failure is reported by name
     inst = Instance(3, 5, 2, 2, 19, 152)
     witness._row.cache_clear()
     solve_class(inst)
+
+    def no_trace(*args):
+        raise AssertionError("WitnessTrace built")
+
+    monkeypatch.setattr(witness, "WitnessTrace", no_trace)
+    _UNTRACED_SOLVES[name](inst)
     _off_window_lift(monkeypatch)
     with pytest.raises(InternalInvariantError, match="'r_window'"):
         _UNTRACED_SOLVES[name](inst)
     info = witness._row.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
+    assert (info.hits, info.misses) == (2, 1)
 
 
 @pytest.mark.parametrize(
@@ -279,10 +285,10 @@ def test_traced_solves_return_a_valid_trace(inst):
         w, trace = solve_class(inst)
         assert isinstance(trace, WitnessTrace)
         validate_trace(trace)
-    w, delta, trace = witness._solve_dilated_traced(inst)
+    w, delta, trace = witness._solve(inst, True)
     assert isinstance(trace, WitnessTrace)
     validate_trace(trace)
-    assert witness._solve_dilated_traced(inst, traced=False) == (w, delta, None)
+    assert witness._solve(inst, False) == (w, delta, None)
 
 
 # ---------------------------------------------------------------- Instance
@@ -345,7 +351,7 @@ def test_cold_row_extended_gcd_calls(monkeypatch, template, calls):
 def _grid_outputs(instances):
     out = {}
     for inst in instances:
-        w, delta, trace = witness._solve_dilated_traced(inst)
+        w, delta, trace = witness._solve(inst, True)
         out[inst] = (dataclasses.asdict(w), delta, dataclasses.asdict(trace))
     return out
 
@@ -401,15 +407,17 @@ def test_solve_dilated_verifies_each_certificate_once(monkeypatch):
         return verify_witness(inst, w)
 
     monkeypatch.setattr(witness, "verify_witness", counting)
-    # delta = 1: solve_class's check is the only one
+    # delta = 1: one check, on inst
     inst = Instance(3, 5, 2, 2, 19, 152)
     assert solve_dilated(inst)[1] == 1
     assert calls == [inst]
-    # delta = 2: the reduced certificate and the scaled one are different
+    # delta = 2: only the scaled certificate is checked, on inst.  No check
+    # is lost: delta*x ≡ a (mod m) exactly when x ≡ a/delta (mod m/delta),
+    # and the sum scales by delta^2.
     calls.clear()
     inst = Instance(2, 4, 6, 8, 10, 76)
     assert solve_dilated(inst)[1] == 2
-    assert calls == [Instance(1, 2, 3, 4, 5, 19), inst]
+    assert calls == [inst]
 
 
 def test_solve_dilated_coprime_falls_through():
