@@ -114,7 +114,7 @@ def solve_progression(inst: Instance) -> ProgressionResult:
     if N == base:
         # Smallest member: the templates themselves already decompose it.
         return ProgressionResult(WITNESS, Witness(a, b, c, d), report)
-    w, _ = _solve_core(inst, traced=False)
+    w, _ = _solve_core(a, b, c, d, m, N, math.gcd(a, c, m), False, inst)
     if w.d_prime < d:
         if N >= report.N0:
             raise InternalInvariantError(

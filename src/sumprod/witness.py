@@ -18,8 +18,15 @@ never an input condition, and raises InternalInvariantError naming the check.
 Every pair solve takes one path, _solve: divide a, b, c, d and m by
 delta = gcd(a, b, c, d, m), run the pipeline on the templates'
 representatives in [1, m/delta], multiply the witness by delta, and verify
-that one certificate against the caller's instance.  Only solve_class and
-the CLI's witness --trace return the trace, so only they build one.
+that one certificate against the caller's instance.  What depends on the
+template alone (delta and delta*m, ab + cd, the representatives and m/delta,
+m' and whether the instance moves) is the template's plan, built once and
+kept for the last 64 templates; rows are kept for the last 64 rows.  A
+target whose plan and row are cached costs two cache lookups, the residue
+test, the lift, the 8 target checks and one verify_witness.  The pipeline
+runs on plain ints: only solve_class and the CLI's witness --trace return
+the trace, so only they build one, and a moved instance is built only for
+a returned trace or an error message.
 """
 
 from __future__ import annotations
@@ -211,16 +218,16 @@ def _row_checks(
 
 
 def _target_checks(
-    inst: Instance, mp: int, k: int, x: int, y: int, z: int,
-    x_p: int, y_p: int, q_x: int, q_y: int,
+    a: int, b: int, c: int, d: int, m: int, N: int, mp: int,
+    k: int, x: int, y: int, z: int, x_p: int, y_p: int, q_x: int, q_y: int,
     a_p: int, c_p: int, ell: int, r: int, s: int,
 ) -> tuple[bool, ...]:
-    # The checks of _TARGET_CHECKS, in order.
-    b, d, m, n_target = inst.b, inst.d, inst.m, inst.N
+    # The checks of _TARGET_CHECKS, in order.  _solve_core writes the same
+    # checks out as one conjunction and calls this only to name a failure.
     mmp = m * mp
-    rem = n_target - (a_p * b + c_p * d)
+    rem = N - (a_p * b + c_p * d)
     return (
-        n_target == inst.a * b + inst.c * d + k * m,
+        N == a * b + c * d + k * m,
         b * x + d * y + mp * z == k,
         x == q_x * mp + x_p,
         y == q_y * mp + y_p,
@@ -248,8 +255,8 @@ def validate_trace(trace: WitnessTrace) -> None:
         i.a, i.b, i.c, i.d, i.m, t.m_prime, t.x_prime, t.y_prime,
         t.a0, t.c0, t.u, t.a1, t.c1, t.v, t.a_prime, t.c_prime,
     ) + _target_checks(
-        i, t.m_prime, t.k, t.x, t.y, t.z, t.x_prime, t.y_prime, t.q_x, t.q_y,
-        t.a_prime, t.c_prime, t.ell, t.r, t.s,
+        i.a, i.b, i.c, i.d, i.m, i.N, t.m_prime, t.k, t.x, t.y, t.z,
+        t.x_prime, t.y_prime, t.q_x, t.q_y, t.a_prime, t.c_prime, t.ell, t.r, t.s,
     )
     if all(oks):
         return
@@ -326,56 +333,99 @@ def _row(
 
 
 def _solve_core(
-    inst: Instance, traced: bool = True
+    a: int, b: int, c: int, d: int, m: int, N: int, m_p: int, traced: bool,
+    inst: Optional[Instance],
 ) -> tuple[Witness, Optional[WitnessTrace]]:
-    # Pre: a, b, c, d >= 1, gcd(a, b, c, d, m) = 1, N ≡ ab + cd (mod m).
+    # Pre: a, b, c, d >= 1, gcd(a, b, c, d, m) = 1, N ≡ ab + cd (mod m) and
+    # m_p = gcd(a, c, m).  inst is Instance(a, b, c, d, m, N) when the caller
+    # holds one, else None; it is built only for a returned trace or an error.
     # The witness is integral; the one-sided caller checks d' >= d itself.
-    a, b, c, d, m, N = inst.a, inst.b, inst.c, inst.d, inst.m, inst.N
-    k = (N - (a * b + c * d)) // m
-    m_p = math.gcd(a, c, m)
-    (x1, y1, z1), (x_p, y_p), steps, lift = _row(a, b, c, d, m, k % m_p)
+    base = a * b + c * d
+    k = (N - base) // m
+    (x1, y1, z1), (x_p, y_p), steps, (big_a, big_c, inv) = _row(
+        a, b, c, d, m, k % m_p
+    )
     x, y, z = k * x1, k * y1, k * z1
     q_x, q_y = (x - x_p) // m_p, (y - y_p) // m_p
-    a_p, c_p = steps[6:]
+    a_p, c_p = steps[6], steps[7]
     # The lift of (b, d): b' = b + m*r, d' = d + m*s with the least r >= 0,
     # which leaves the largest s.
-    ell = (N - (a_p * b + c_p * d)) // (m * m_p)
-    r, s = _least_r_lift(*lift, ell)
-    # _row checked the row half; the target half runs on every solve.
-    oks = _target_checks(inst, m_p, k, x, y, z, x_p, y_p, q_x, q_y, a_p, c_p, ell, r, s)
-    if not all(oks):
+    mmp = m * m_p
+    rem = N - (a_p * b + c_p * d)
+    ell = rem // mmp
+    r, s = _least_r_lift(big_a, big_c, inv, ell)
+    # _row checked the row half.  The target half runs on every solve: the
+    # checks of _target_checks, in order, written out so that a passing
+    # solve makes no call.  The tests pin the two copies to each other.
+    if not (
+        N == base + k * m
+        and b * x + d * y + m_p * z == k
+        and x == q_x * m_p + x_p
+        and y == q_y * m_p + y_p
+        and rem % mmp == 0
+        and ell * mmp == rem
+        and a_p * r + c_p * s == ell * m_p
+        and 0 <= r < c_p // m_p
+    ):
+        oks = _target_checks(
+            a, b, c, d, m, N, m_p, k, x, y, z, x_p, y_p, q_x, q_y, a_p, c_p, ell, r, s
+        )
         raise InternalInvariantError(
             f"target invariants violated: {_violations(_TARGET_CHECKS, oks)}; "
-            f"{inst!r}"
+            f"{inst if inst is not None else Instance(a, b, c, d, m, N)!r}"
         )
     trace = None
     if traced:
         trace = WitnessTrace(
-            inst, m_p, k, x, y, z, x_p, y_p, q_x, q_y, *steps, ell, r, s
+            inst if inst is not None else Instance(a, b, c, d, m, N),
+            m_p, k, x, y, z, x_p, y_p, q_x, q_y, *steps, ell, r, s,
         )
     return Witness(a_p, b + m * r, c_p, d + m * s), trace
+
+
+# Templates _plan keeps at once.  Callers visit a template's targets back to
+# back, so a small cache is reused.
+_PLAN_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(
+    a: int, b: int, c: int, d: int, m: int
+) -> tuple[int, int, int, int, int, int, int, int, int, bool]:
+    # Everything _solve needs of the caller's template alone: delta and
+    # delta*m, ab + cd, the reduced templates' representatives in
+    # [1, m/delta] (the construction needs them positive) and m/delta, m' of
+    # the reduced template, and whether the reduced instance differs from
+    # the caller's.  m' = gcd(a, c, m) = gcd(a mod m, c mod m, m), so moving
+    # to the representatives leaves it as it is.
+    delta = math.gcd(a, b, c, d, m)
+    ra, rb, rc, rd, rm = a // delta, b // delta, c // delta, d // delta, m // delta
+    ra, rb, rc, rd = ra % rm or rm, rb % rm or rm, rc % rm or rm, rd % rm or rm
+    moved = delta != 1 or (ra, rb, rc, rd) != (a, b, c, d)
+    return (
+        delta, delta * m, a * b + c * d, ra, rb, rc, rd, rm, math.gcd(ra, rc, rm), moved
+    )
 
 
 def _solve(
     inst: Instance, traced: bool
 ) -> Optional[tuple[Witness, int, Optional[WitnessTrace]]]:
     # The dilated theorem in one move: divide a, b, c, d, m by delta, solve
-    # the coprime instance on the templates' representatives in [1, m/delta]
-    # (the construction needs them positive), and scale the witness back.
-    a, b, c, d, m, N = inst.a, inst.b, inst.c, inst.d, inst.m, inst.N
-    delta = math.gcd(a, b, c, d, m)
-    if (N - (a * b + c * d)) % (delta * m) != 0:
+    # the coprime instance on the templates' representatives, and scale the
+    # witness back.  The template's part comes from its cached plan.
+    delta, dm, base, a, b, c, d, m, m_p, moved = _plan(
+        inst.a, inst.b, inst.c, inst.d, inst.m
+    )
+    N = inst.N
+    if (N - base) % dm != 0:
         return None
     if delta != 1:
         # N = ab + cd + t*delta*m = delta^2 * (AB + CD + t*M): divisibility
         # is forced.
         if N % (delta * delta) != 0:
             raise InternalInvariantError(f"N not divisible by delta^2 for {inst!r}")
-        a, b, c, d, m = a // delta, b // delta, c // delta, d // delta, m // delta
         N //= delta * delta
-    an, bn, cn, dn = a % m or m, b % m or m, c % m or m, d % m or m
-    moved = delta != 1 or (an, bn, cn, dn) != (a, b, c, d)
-    w, trace = _solve_core(Instance(an, bn, cn, dn, m, N) if moved else inst, traced)
+    w, trace = _solve_core(a, b, c, d, m, N, m_p, traced, None if moved else inst)
     if delta != 1:
         w = Witness(
             delta * w.a_prime, delta * w.b_prime, delta * w.c_prime, delta * w.d_prime
@@ -410,6 +460,12 @@ def solve_dilated(inst: Instance) -> Optional[tuple[Witness, int]]:
     Returns None exactly when N !≡ ab + cd (mod delta*m); otherwise the
     witness and delta.  The witness satisfies the congruences for the
     original modulus m and is verified once, against inst itself.
+
+    The template's own work (delta, the reduced representatives, m') is done
+    once per template and kept for the last 64 templates, and the pipeline
+    up to the lift once per (template, k mod m') row, kept for the last 64
+    rows.  A target of a cached template and row then pays the residue
+    test, the lift, the 8 target checks and one verify_witness.
     """
     got = _solve(inst, False)
     return None if got is None else got[:2]

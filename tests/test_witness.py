@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -40,7 +41,9 @@ def test_pipeline_lift_matches_sylvester():
                 continue
             top = min(threshold_N0(a, b, c, d, m).N0, 2000)
             for n_target in range(a * b + c * d + m, top + 1, m):
-                w, t = witness._solve_core(Instance(a, b, c, d, m, n_target))
+                w, t = witness._solve_core(
+                    a, b, c, d, m, n_target, math.gcd(a, c, m), True, None
+                )
                 rs = sylvester_nonneg(t.a_prime, t.c_prime, t.m_prime, t.ell)
                 assert (w.d_prime >= d) == (rs is not None), t
                 if rs is not None:
@@ -291,6 +294,98 @@ def test_traced_solves_return_a_valid_trace(inst):
     assert witness._solve(inst, False) == (w, delta, None)
 
 
+def _wrap_row(monkeypatch, change):
+    # _row's rows reach the solver through `change`; the cached rows stay as
+    # they were built
+    real = witness._row
+    monkeypatch.setattr(witness, "_row", lambda *key: change(*real(*key)))
+
+
+def _wrap_lift(monkeypatch, change):
+    real = witness._least_r_lift
+
+    def changed(big_a, big_c, inv, ell):
+        return change(*real(big_a, big_c, inv, ell), big_a, big_c)
+
+    monkeypatch.setattr(witness, "_least_r_lift", changed)
+
+
+def _other_unit_solution(unit, windows, steps, lift):
+    # (x1 + 1, y1, z1) no longer solves b*x + d*y + m'*z = 1
+    return (unit[0] + 1,) + unit[1:], windows, steps, lift
+
+
+def test_eq_A_fires_by_name_on_a_warm_plan(monkeypatch):
+    # at m' = 1 neither the windows nor the certificate read the unit
+    # solution, so only eq_A can catch the change, and every solver must
+    inst = Instance(3, 5, 2, 2, 19, 152)
+    solvers = [_UNTRACED_SOLVES[name] for name in sorted(_UNTRACED_SOLVES)]
+    solvers.append(solve_class)
+    for solve in solvers:
+        solve(inst)
+    plans = witness._plan.cache_info()
+    _wrap_row(monkeypatch, _other_unit_solution)
+    for solve in solvers:
+        with pytest.raises(InternalInvariantError, match=r"violated: \['eq_A'\];"):
+            solve(inst)
+    # three of the four read the warm plan; solve_progression reads none
+    assert witness._plan.cache_info().hits == plans.hits + 3
+    assert witness._plan.cache_info().misses == plans.misses
+
+
+# One change to _solve_core's inputs per target check, on the template
+# (4, 2, 4, 3, 4) at N = 8, where m' = 4: the target, one group of the row,
+# or the lift; and the checks it breaks.  A target off its residue class
+# also leaves a remainder that m*m' does not divide, and congruence_mm and
+# ell read the same remainder, so those three fail together.
+_A_PRIME_PLUS_1 = (
+    "row",
+    lambda u, w, st, lf: (u, w, st[:6] + (st[6] + 1, st[7]), lf),
+    ("congruence_mm", "ell", "lift"),
+)
+_TARGET_CHANGES = {
+    "k": ("N", 9, ("k", "congruence_mm", "ell")),
+    # z1 + 1 breaks eq_A alone: the windows do not read z
+    "eq_A": ("row", lambda u, w, st, lf: (u[:2] + (u[2] + 1,), w, st, lf), ("eq_A",)),
+    "eq_B_x": ("row", lambda u, w, st, lf: (u, (w[0] + 1, w[1]), st, lf), ("eq_B_x",)),
+    "eq_B_y": ("row", lambda u, w, st, lf: (u, (w[0], w[1] + 1), st, lf), ("eq_B_y",)),
+    "congruence_mm": _A_PRIME_PLUS_1,
+    "ell": _A_PRIME_PLUS_1,
+    "lift": ("lift", lambda r, s, big_a, big_c: (r, s + 1), ("lift",)),
+    "r_window": (
+        "lift", lambda r, s, big_a, big_c: (r + big_c, s - big_a), ("r_window",)
+    ),
+}
+
+
+def test_every_target_check_has_a_change():
+    assert tuple(_TARGET_CHANGES) == witness._TARGET_CHECKS
+
+
+@pytest.mark.parametrize("name", witness._TARGET_CHECKS)
+def test_both_forms_of_a_target_check_reject_its_change(monkeypatch, name):
+    # _solve_core evaluates the target checks as one conjunction and, only
+    # when it fails, names the failures with _target_checks, which
+    # validate_trace also uses.  The raise shows that the conjunction
+    # rejects the change, and its list that _target_checks rejects exactly
+    # the checks the change breaks.
+    a, b, c, d, m, n_target = 4, 2, 4, 3, 4, 8
+    m_p = math.gcd(a, c, m)
+    w, _ = witness._solve_core(a, b, c, d, m, n_target, m_p, False, None)
+    assert m_p == 4 and verify_witness(Instance(a, b, c, d, m, n_target), w)
+    where, change, broken = _TARGET_CHANGES[name]
+    if where == "N":
+        n_target = change
+    elif where == "row":
+        _wrap_row(monkeypatch, change)
+    else:
+        _wrap_lift(monkeypatch, change)
+    assert name in broken
+    with pytest.raises(InternalInvariantError) as err:
+        witness._solve_core(a, b, c, d, m, n_target, m_p, False, None)
+    assert f"target invariants violated: {list(broken)};" in str(err.value)
+
+
 # ---------------------------------------------------------------- Instance
 
 def test_instance_dataclass_contract():
@@ -381,6 +476,115 @@ def test_row_cache_order_independent_and_bounded():
         assert verify_witness(inst, solve_dilated(inst)[0])
     info = witness._row.cache_info()
     assert info.currsize <= info.maxsize == witness._ROW_CACHE_SIZE
+
+
+# ---------------------------------------------------------------- plan cache
+
+def _plan_sample():
+    # Seeded: templates drawn from [-2m, 2m] (zero, negative and above m, so
+    # they move), some dilated by 2 or 3 (delta > 1), m = 1, and random 64-,
+    # 128- and 256-bit moduli; per template four members and ab + cd + 1.
+    rng = random.Random(18)
+    templates = [(1, 1, 1, 1, 1), (0, -3, 5, 2, 1), (6, 4, 2, 8, 2)]
+    for _ in range(60):
+        m = rng.randint(1, 12)
+        a, b, c, d = (rng.randint(-2 * m, 2 * m) for _ in range(4))
+        f = rng.choice((1, 1, 2, 3))
+        templates.append((f * a, f * b, f * c, f * d, f * m))
+    for bits in (64, 128, 256):
+        for _ in range(4):
+            m = rng.getrandbits(bits - 1) | (1 << (bits - 1))
+            templates.append(tuple(rng.randint(1, m) for _ in range(4)) + (m,))
+    instances = []
+    for a, b, c, d, m in templates:
+        base = a * b + c * d
+        step = math.gcd(a, b, c, d, m) * m
+        for t in (-3, 0, 2, rng.randint(-10**6, 10**6)):
+            instances.append(Instance(a, b, c, d, m, base + t * step))
+        instances.append(Instance(a, b, c, d, m, base + 1))
+    return instances
+
+
+# The sample's _solve(inst, True) results, hashed as in
+# tests/test_pinned_outputs.py, taken from the solver before it had plans.
+_PLAN_SAMPLE_DIGEST = "71a17af8fd292ce9a9349c6776cd2df3ed4dc4492d669faf21563d05a28f64f3"
+
+
+def _solvers(inst):
+    solvers = [solve_dilated, lambda inst: witness._solve(inst, True)]
+    if inst.delta() == 1:
+        solvers.append(solve_class)
+    return solvers
+
+
+def _cold(solve, inst):
+    witness._plan.cache_clear()
+    witness._row.cache_clear()
+    return solve(inst)
+
+
+def test_warm_plan_returns_what_a_cold_solve_returns():
+    instances = _plan_sample()
+    assert any(inst.delta() > 1 for inst in instances)
+    assert any(min(inst.a, inst.b, inst.c, inst.d) < 1 for inst in instances)
+    assert any(max(inst.a, inst.b, inst.c, inst.d) > inst.m for inst in instances)
+    assert any(inst.m == 1 for inst in instances)
+    assert any(inst.m.bit_length() == 256 for inst in instances)
+    cold = [[_cold(solve, inst) for solve in _solvers(inst)] for inst in instances]
+
+    witness._plan.cache_clear()
+    witness._row.cache_clear()
+    warm = []
+    for inst in instances:
+        witness._solve(inst, False)
+        misses = witness._plan.cache_info().misses, witness._row.cache_info().misses
+        warm.append([solve(inst) for solve in _solvers(inst)])
+        # every call read the plan and the row the first one built
+        assert (
+            witness._plan.cache_info().misses, witness._row.cache_info().misses
+        ) == misses
+    assert warm == cold
+
+    h = hashlib.sha256()
+    for got in cold:
+        w, delta, trace = got[1] or (None, None, None)
+        row = w and (dataclasses.astuple(w), delta, dataclasses.astuple(trace))
+        h.update(repr(row).encode() + b"\n")
+    assert sum(got[1] is None for got in cold) == 72
+    assert h.hexdigest() == _PLAN_SAMPLE_DIGEST
+
+
+def test_plan_built_once_per_template():
+    # 61 targets of one template: one plan build, 60 plan reads
+    witness._plan.cache_clear()
+    a, b, c, d, m = 2, 4, 6, 8, 10
+    for t in range(-30, 31):
+        inst = Instance(a, b, c, d, m, a * b + c * d + t * 2 * m)
+        assert verify_witness(inst, solve_dilated(inst)[0])
+    info = witness._plan.cache_info()
+    assert (info.hits, info.misses) == (60, 1)
+
+
+def test_plan_cache_is_bounded_and_caches_no_refusal():
+    witness._plan.cache_clear()
+    rng = random.Random(1000)
+    templates = set()
+    while len(templates) < 1000:
+        m = rng.randint(1, 40)
+        templates.add(tuple(rng.randint(1, m) for _ in range(4)) + (m,))
+    for a, b, c, d, m in sorted(templates):
+        inst = Instance(a, b, c, d, m, a * b + c * d + math.gcd(a, b, c, d, m) * m)
+        assert verify_witness(inst, solve_dilated(inst)[0])
+    info = witness._plan.cache_info()
+    assert info.misses == 1000
+    assert info.currsize <= info.maxsize == witness._PLAN_CACHE_SIZE == 64
+    # solve_class refuses delta > 1 before it reads a plan, so a warm plan
+    # does not stop the refusal
+    inst = Instance(2, 4, 6, 8, 10, 56)
+    assert solve_dilated(inst)[1] == 2
+    for _ in range(3):
+        with pytest.raises(ValueError, match="solve_dilated"):
+            solve_class(inst)
 
 
 # ---------------------------------------------------------------- solve_dilated
