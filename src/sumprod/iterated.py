@@ -11,6 +11,7 @@ general question is open.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,7 +40,8 @@ class IteratedSpec:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"modulus must be >= 1, got {self.m}")
-        terms = tuple(tuple(int(x) for x in t) for t in self.terms)
+        # operator.index, not int: a float or a string is refused, not truncated.
+        terms = tuple(tuple(operator.index(x) for x in t) for t in self.terms)
         object.__setattr__(self, "terms", terms)
         if len(terms) < 2:
             raise ValueError("need at least two terms")

@@ -58,6 +58,11 @@ class ProgressionResult:
     threshold: ThresholdReport
 
 
+# The last 64 templates' reports are kept: solve_progression reads one per
+# target.  A failed check raises, and lru_cache caches no raise, so the
+# template raises again on every call.  typed keeps True apart from 1, so the
+# shared (frozen) report holds the caller's own values.
+@functools.lru_cache(maxsize=64, typed=True)
 def threshold_N0(a: int, b: int, c: int, d: int, m: int) -> ThresholdReport:
     """Exact integer evaluation of the representability threshold.
 
@@ -82,15 +87,6 @@ def _check_preconditions(a: int, b: int, c: int, d: int, m: int) -> None:
         raise ValueError("gcd(a, b, c, d, m) must be 1")
 
 
-@functools.lru_cache(maxsize=64, typed=True)
-def _checked_threshold(a: int, b: int, c: int, d: int, m: int) -> ThresholdReport:
-    # Everything solve_progression needs of the template alone, once per
-    # template.  A failed check raises, and lru_cache caches no raise, so the
-    # template raises again on every call.  typed keeps True apart from 1, so
-    # the shared (frozen) report holds the caller's own values.
-    return threshold_N0(a, b, c, d, m)
-
-
 def solve_progression(inst: Instance) -> ProgressionResult:
     """One-sided witness for N in P_m(ab+cd): all four components end up in
     their progressions (a' >= a, b' >= b, c' >= c, d' >= d).
@@ -107,7 +103,7 @@ def solve_progression(inst: Instance) -> ProgressionResult:
     certificate check.
     """
     a, b, c, d, m, N = inst.a, inst.b, inst.c, inst.d, inst.m, inst.N
-    report = _checked_threshold(a, b, c, d, m)
+    report = threshold_N0(a, b, c, d, m)
     base = a * b + c * d
     if N < base or (N - base) % m != 0:
         return ProgressionResult(NOT_MEMBER, None, report)

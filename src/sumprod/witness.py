@@ -158,88 +158,76 @@ def _component_box(a: int, b: int, c: int, d: int, m: int) -> tuple[int, int]:
     return a + (d + 1) * mm, c + (a + b + 1) * mm + (d + 1) * mm * mm
 
 
-# The names of validate_trace's checks, in the order it evaluates them: the
-# row half, which depends on the template and k mod m' alone, then the
-# target half.
-_ROW_CHECKS = (
-    "m_prime",
-    "x_prime_window",
-    "y_prime_window",
-    "a0",
-    "c0",
-    "u_window",
-    "a1",
-    "c1",
-    "u_gcd",
-    "v_window",
-    "a_prime",
-    "c_prime",
-    "gcd_final",
-    "ineq2_a",
-    "ineq2_c",
-)
-_TARGET_CHECKS = (
-    "k",
-    "eq_A",
-    "eq_B_x",
-    "eq_B_y",
-    "congruence_mm",
-    "ell",
-    "lift",
-    "r_window",
-)
-_TRACE_CHECKS = _ROW_CHECKS + _TARGET_CHECKS
-
-
 def _row_checks(
     a: int, b: int, c: int, d: int, m: int, mp: int,
     x_p: int, y_p: int, a0: int, c0: int, u: int,
     a1: int, c1: int, v: int, a_p: int, c_p: int,
-) -> tuple[bool, ...]:
-    # The checks of _ROW_CHECKS, in order.
+) -> list[str]:
+    # The names of the failed invariants that depend on the template and
+    # k mod m' alone, in evaluation order.
     a_hi, c_hi = _component_box(a, b, c, d, m)
-    return (
-        mp == math.gcd(a, c, m),
-        0 <= x_p <= mp - 1,
-        b * m <= y_p <= b * m + mp - 1,
-        a0 == a + m * x_p,
-        c0 == c + m * y_p,
-        0 <= u < mp,
-        a1 == a0 + d * m * u,
-        c1 == c0 - b * m * u,
-        math.gcd(math.gcd(a1, c1) // mp, mp) == 1,
-        0 <= v <= a1,
-        a_p == a1,
-        c_p == c1 + m * mp * v,
-        math.gcd(a_p, c_p) == mp,
-        a <= a_p <= a_hi,
-        c <= c_p <= c_hi,
-    )
+    failed = []
+    if not mp == math.gcd(a, c, m):
+        failed.append("m_prime")
+    if not 0 <= x_p <= mp - 1:
+        failed.append("x_prime_window")
+    if not b * m <= y_p <= b * m + mp - 1:
+        failed.append("y_prime_window")
+    if not a0 == a + m * x_p:
+        failed.append("a0")
+    if not c0 == c + m * y_p:
+        failed.append("c0")
+    if not 0 <= u < mp:
+        failed.append("u_window")
+    if not a1 == a0 + d * m * u:
+        failed.append("a1")
+    if not c1 == c0 - b * m * u:
+        failed.append("c1")
+    if not math.gcd(math.gcd(a1, c1) // mp, mp) == 1:
+        failed.append("u_gcd")
+    if not 0 <= v <= a1:
+        failed.append("v_window")
+    if not a_p == a1:
+        failed.append("a_prime")
+    if not c_p == c1 + m * mp * v:
+        failed.append("c_prime")
+    if not math.gcd(a_p, c_p) == mp:
+        failed.append("gcd_final")
+    if not a <= a_p <= a_hi:
+        failed.append("ineq2_a")
+    if not c <= c_p <= c_hi:
+        failed.append("ineq2_c")
+    return failed
 
 
 def _target_checks(
     a: int, b: int, c: int, d: int, m: int, N: int, mp: int,
     k: int, x: int, y: int, z: int, x_p: int, y_p: int, q_x: int, q_y: int,
     a_p: int, c_p: int, ell: int, r: int, s: int,
-) -> tuple[bool, ...]:
-    # The checks of _TARGET_CHECKS, in order.  _solve_core writes the same
-    # checks out as one conjunction and calls this only to name a failure.
+) -> list[str]:
+    # The names of the failed invariants that involve the target, in
+    # evaluation order.  _solve_core writes the same checks out as one
+    # conjunction and calls this only to name a failure.
     mmp = m * mp
     rem = N - (a_p * b + c_p * d)
-    return (
-        N == a * b + c * d + k * m,
-        b * x + d * y + mp * z == k,
-        x == q_x * mp + x_p,
-        y == q_y * mp + y_p,
-        rem % mmp == 0,
-        ell * mmp == rem,
-        a_p * r + c_p * s == ell * mp,
-        0 <= r < c_p // mp,
-    )
-
-
-def _violations(names: tuple[str, ...], oks: tuple[bool, ...]) -> list[str]:
-    return [name for name, ok in zip(names, oks) if not ok]
+    failed = []
+    if not N == a * b + c * d + k * m:
+        failed.append("k")
+    if not b * x + d * y + mp * z == k:
+        failed.append("eq_A")
+    if not x == q_x * mp + x_p:
+        failed.append("eq_B_x")
+    if not y == q_y * mp + y_p:
+        failed.append("eq_B_y")
+    if not rem % mmp == 0:
+        failed.append("congruence_mm")
+    if not ell * mmp == rem:
+        failed.append("ell")
+    if not a_p * r + c_p * s == ell * mp:
+        failed.append("lift")
+    if not 0 <= r < c_p // mp:
+        failed.append("r_window")
+    return failed
 
 
 def validate_trace(trace: WitnessTrace) -> None:
@@ -251,17 +239,17 @@ def validate_trace(trace: WitnessTrace) -> None:
     """
     t = trace
     i = t.instance
-    oks = _row_checks(
+    failed = _row_checks(
         i.a, i.b, i.c, i.d, i.m, t.m_prime, t.x_prime, t.y_prime,
         t.a0, t.c0, t.u, t.a1, t.c1, t.v, t.a_prime, t.c_prime,
     ) + _target_checks(
         i.a, i.b, i.c, i.d, i.m, i.N, t.m_prime, t.k, t.x, t.y, t.z,
         t.x_prime, t.y_prime, t.q_x, t.q_y, t.a_prime, t.c_prime, t.ell, t.r, t.s,
     )
-    if all(oks):
-        return
-    failed = _violations(_TRACE_CHECKS, oks)
-    raise InternalInvariantError(f"trace invariants violated: {failed}; trace={t!r}")
+    if failed:
+        raise InternalInvariantError(
+            f"trace invariants violated: {failed}; trace={t!r}"
+        )
 
 
 # Rows _row keeps at once.  A template has at most m' <= m rows, and callers
@@ -316,11 +304,11 @@ def _row(
     else:
         raise InternalInvariantError(f"no v-shift up to a1={a1} for c1={c1}")
 
-    oks = _row_checks(a, b, c, d, m, m_p, x_p, y_p, a0, c0, u, a1, c1, v, a_p, c_p)
-    if not all(oks):
+    failed = _row_checks(a, b, c, d, m, m_p, x_p, y_p, a0, c0, u, a1, c1, v, a_p, c_p)
+    if failed:
         # Raised, so the row is never cached.
         raise InternalInvariantError(
-            f"row invariants violated: {_violations(_ROW_CHECKS, oks)}; "
+            f"row invariants violated: {failed}; "
             f"(a,b,c,d,m,k mod m')=({a},{b},{c},{d},{m},{k_res})"
         )
     big_a, big_c = a_p // m_p, c_p // m_p
@@ -367,11 +355,11 @@ def _solve_core(
         and a_p * r + c_p * s == ell * m_p
         and 0 <= r < c_p // m_p
     ):
-        oks = _target_checks(
+        failed = _target_checks(
             a, b, c, d, m, N, m_p, k, x, y, z, x_p, y_p, q_x, q_y, a_p, c_p, ell, r, s
         )
         raise InternalInvariantError(
-            f"target invariants violated: {_violations(_TARGET_CHECKS, oks)}; "
+            f"target invariants violated: {failed}; "
             f"{inst if inst is not None else Instance(a, b, c, d, m, N)!r}"
         )
     trace = None

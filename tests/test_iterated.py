@@ -55,6 +55,10 @@ def test_iterated_spec_validation():
         IteratedSpec(7, ((1, 2), (3,)))  # lengths decreasing
     with pytest.raises(ValueError):
         IteratedSpec(0, ((1,), (2,)))
+    with pytest.raises(TypeError):
+        IteratedSpec(5, ((2.7,), (1.9, 2)))  # not truncated to ((2,), (1, 2))
+    with pytest.raises(TypeError):
+        IteratedSpec(5, (("3",), (1, 2)))
     s = IteratedSpec(7, ((5,), (3, 4)))
     assert s.shape() == (1, 2) and s.base_value() == 17
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import math
 import random
@@ -179,15 +180,28 @@ _TAMPERS = {
 }
 
 
+def _check_names(checks):
+    # The invariant names a check function appends, in order of first use:
+    # the identifier strings among its code's constants.
+    return [
+        const
+        for const in checks.__code__.co_consts
+        if isinstance(const, str) and const.isidentifier()
+    ]
+
+
+_ROW_CHECKS = _check_names(witness._row_checks)
+_TARGET_CHECKS = _check_names(witness._target_checks)
+
+
 def test_every_trace_check_has_a_tamper():
-    assert len(witness._TRACE_CHECKS) == 23
-    assert set(_TAMPERS) == set(witness._TRACE_CHECKS)
+    assert len(_ROW_CHECKS + _TARGET_CHECKS) == 23
+    assert set(_TAMPERS) == set(_ROW_CHECKS + _TARGET_CHECKS)
 
 
 @pytest.mark.parametrize("name", sorted(_TAMPERS))
 def test_trace_check_reported_by_name(name):
-    # a failing check must be reported under its own name, which guards the
-    # positional pairing of the check tuple with the name tuple
+    # a failing check must be reported under its own name
     _, trace = solve_class(Instance(4, 2, 4, 3, 4, 8))
     validate_trace(trace)
     tampered = _TAMPERS[name](trace)
@@ -198,21 +212,17 @@ def test_trace_check_reported_by_name(name):
 # ---------------------------------------------------------------- check halves
 
 def test_row_and_target_checks_partition_the_trace_checks():
-    row, target = witness._ROW_CHECKS, witness._TARGET_CHECKS
-    assert len(row) == 15 and len(target) == 8
-    assert not set(row) & set(target)
-    assert set(row) | set(target) == set(witness._TRACE_CHECKS)
+    assert len(_ROW_CHECKS) == 15 and len(_TARGET_CHECKS) == 8
+    assert not set(_ROW_CHECKS) & set(_TARGET_CHECKS)
+    # each name is written once, in the statement that checks it
+    source = inspect.getsource(witness)
+    for name in _ROW_CHECKS + _TARGET_CHECKS:
+        assert source.count(f'"{name}"') == 1, name
 
 
 def test_failed_row_check_raises_and_is_not_cached(monkeypatch):
     real = witness._row_checks
-
-    def u_gcd_fails(*args):
-        oks = real(*args)
-        at = witness._ROW_CHECKS.index("u_gcd")
-        return oks[:at] + (False,) + oks[at + 1 :]
-
-    monkeypatch.setattr(witness, "_row_checks", u_gcd_fails)
+    monkeypatch.setattr(witness, "_row_checks", lambda *args: real(*args) + ["u_gcd"])
     witness._row.cache_clear()
     with pytest.raises(InternalInvariantError, match="'u_gcd'"):
         solve_class(Instance(3, 5, 2, 2, 19, 152))
@@ -240,6 +250,41 @@ def test_target_checks_run_on_a_cached_row(monkeypatch):
         solve_class(inst)
     info = witness._row.cache_info()
     assert (info.hits, info.misses) == (1, 1)
+
+
+def test_invariant_error_texts_pinned(monkeypatch):
+    # the row, target and trace texts of InternalInvariantError, byte for
+    # byte: the failed names in evaluation order, then the context
+    _, trace = solve_class(Instance(4, 2, 4, 3, 4, 8))
+    with pytest.raises(InternalInvariantError) as err:
+        validate_trace(dataclasses.replace(trace, **_TAMPERS["m_prime"](trace)))
+    assert str(err.value) == (
+        "trace invariants violated: ['m_prime', 'u_gcd', 'gcd_final', 'eq_B_y', "
+        "'congruence_mm', 'ell', 'lift']; trace=WitnessTrace(instance=Instance("
+        "a=4, b=2, c=4, d=3, m=4, N=8), m_prime=8, k=-3, x=3, y=-3, z=0, "
+        "x_prime=3, y_prime=9, q_x=0, q_y=-3, a0=16, c0=40, u=1, a1=28, c1=32, "
+        "v=0, a_prime=28, c_prime=32, ell=-9, r=1, s=-2)"
+    )
+
+    inst = Instance(3, 5, 2, 2, 19, 152)
+    with monkeypatch.context() as patch:
+        _off_window_lift(patch)
+        with pytest.raises(InternalInvariantError) as err:
+            solve_class(inst)
+    assert str(err.value) == (
+        "target invariants violated: ['r_window']; "
+        "Instance(a=3, b=5, c=2, d=2, m=19, N=152)"
+    )
+
+    # an empty box puts every (a', c') above it
+    monkeypatch.setattr(witness, "_component_box", lambda *template: (0, 0))
+    witness._row.cache_clear()
+    with pytest.raises(InternalInvariantError) as err:
+        solve_class(inst)
+    assert str(err.value) == (
+        "row invariants violated: ['ineq2_a', 'ineq2_c']; "
+        "(a,b,c,d,m,k mod m')=(3,5,2,2,19,0)"
+    )
 
 
 # The solvers that return no trace, each on the pair template (3, 5, 2, 2)
@@ -359,10 +404,10 @@ _TARGET_CHANGES = {
 
 
 def test_every_target_check_has_a_change():
-    assert tuple(_TARGET_CHANGES) == witness._TARGET_CHECKS
+    assert list(_TARGET_CHANGES) == _TARGET_CHECKS
 
 
-@pytest.mark.parametrize("name", witness._TARGET_CHECKS)
+@pytest.mark.parametrize("name", _TARGET_CHECKS)
 def test_both_forms_of_a_target_check_reject_its_change(monkeypatch, name):
     # _solve_core evaluates the target checks as one conjunction and, only
     # when it fails, names the failures with _target_checks, which
