@@ -7,6 +7,7 @@ exact because a product equal to n forces both factors to divide n.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,9 +25,10 @@ class CongruenceClass:
     m: int
 
     def __post_init__(self) -> None:
-        if self.m < 1:
+        # operator.index refuses a float or a string with TypeError.
+        if operator.index(self.m) < 1:
             raise ValueError(f"modulus must be >= 1, got {self.m}")
-        object.__setattr__(self, "a", self.a % self.m)
+        object.__setattr__(self, "a", operator.index(self.a) % self.m)
 
     def contains(self, n: int) -> bool:
         return (n - self.a) % self.m == 0
@@ -57,6 +59,7 @@ def product_class_contains(
     over all of Z.  For n = 0 the convention is: 0 is in the product set iff
     0 itself lies in one of the two classes (then 0 = 0*y for any y).
     """
+    operator.index(n)  # a non-integral n is refused, as in CongruenceClass
     if c1.m != c2.m:
         raise ValueError("classes must share a modulus")
     m = c1.m

@@ -38,9 +38,9 @@ class IteratedSpec:
     terms: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.m}")
         # operator.index, not int: a float or a string is refused, not truncated.
+        if operator.index(self.m) < 1:
+            raise ValueError(f"modulus must be >= 1, got {self.m}")
         terms = tuple(tuple(operator.index(x) for x in t) for t in self.terms)
         object.__setattr__(self, "terms", terms)
         if len(terms) < 2:
@@ -84,6 +84,7 @@ def solve_iterated(spec: IteratedSpec, N: int) -> IteratedResult:
     # Lengths and base sum are read inline, not through shape() and
     # base_value(): a method call each is a large share of one solve.
     terms, m = spec.terms, spec.m
+    operator.index(N)  # a non-integral N is refused, as at Instance
     base = sum(math.prod(t) for t in terms)
     if len(terms[0]) == 1:
         if (N - base) % m != 0:

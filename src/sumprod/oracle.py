@@ -334,6 +334,11 @@ def grid_verify_theorem(
     """Sweep all templates in [1, m]^4 for m <= m_max and every residue-valid
     target in a ±k_window band; assert solver success, certificate validity,
     and oracle agreement.  Zero discrepancies is the expected outcome.
+    Every (a, b) of a (m, c, d) group is searched over the group's one box,
+    in one centred order against one class-side table.  The box is that of
+    the group's far target, (a, b) = (m, m) at +k_window: every other has
+    ab <= m*m and gcd(a, b, c, d, m) dividing gcd(c, d, m), so a target and
+    a box no larger, and the wider box can only let the oracle find more.
 
     `corrupt` mutates each witness before verification; it exists so the
     harness can prove to itself that an injected fault is actually caught.
@@ -355,29 +360,25 @@ def grid_verify_theorem(
     targets = sum(m**4 for m in range(1, m_max + 1)) * (2 * k_window + 1)
     if targets > 5 * 10**5:
         raise ValueError(f"sweep targets must be <= 5*10**5, got {targets}")
-    # a = b = c = d = m = m_max at the window's far end is the sweep's
-    # largest target, so its box is the widest.
-    far = Instance(m_max, m_max, m_max, m_max, m_max, m_max**2 * (2 + k_window))
-    entries = (2 * SearchBox.default_for(far).hi + 1) ** 2
+
+    def group_box(c: int, d: int, m: int) -> SearchBox:
+        n_far = m * m + c * d + k_window * math.gcd(c, d, m) * m
+        return SearchBox.default_for(Instance(m, m, c, d, m, n_far))
+
+    # The (m_max, m_max, m_max) group's box is the sweep's widest.
+    entries = (2 * group_box(m_max, m_max, m_max).hi + 1) ** 2
     if entries > 5 * 10**6:
         raise ValueError(f"class-side table must be <= 5*10**6 entries, got {entries}")
     report = GridReport(m_max=m_max, k_window=k_window)
     for m in range(1, m_max + 1):
         for c, d in itertools.product(range(1, m + 1), repeat=2):
-            group = []
+            box = group_box(c, d, m)
+            order = _centered(box)
+            table = _class_products(c, d, m, box)
             for a, b in itertools.product(range(1, m + 1), repeat=2):
+                report.instances += 1
                 base = a * b + c * d
                 dm = math.gcd(a, b, c, d, m) * m
-                far = Instance(a, b, c, d, m, base + k_window * dm)
-                group.append((a, b, base, dm, SearchBox.default_for(far)))
-            # One class-side table per (m, c, d).  Boxes are centred, so the
-            # largest holds every other one: a table over it can only let an
-            # (a, b) find more than a table over its own box would.
-            widest = max((g[4] for g in group), key=lambda box: box.hi)
-            table = _class_products(c, d, m, widest)
-            for a, b, base, dm, box in group:
-                report.instances += 1
-                order = _centered(box)
                 for t in range(-k_window, k_window + 1):
                     n_target = base + t * dm
                     report.values += 1
@@ -400,9 +401,7 @@ def grid_verify_theorem(
                         report.discrepancies.append(
                             (a, b, c, d, m, n_target, "oracle-missed")
                         )
-            # Drop this table before the next one is built, so that two are
-            # never alive at once.
-            del table
+            del table  # before the next is built: never two alive at once
     return report
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import index
 from typing import Optional
 
 from .core_arith import _bezout, _least_r_lift
@@ -68,10 +69,13 @@ class Instance:
     m: int
     N: int
 
-    # One dict update in place of the frozen dataclass's six
-    # object.__setattr__ calls; every other dataclass method is generated.
+    # operator.index only checks the values: a float, a string or a Fraction
+    # raises TypeError, and the caller's own objects are stored.  One dict
+    # update in place of the frozen dataclass's six object.__setattr__
+    # calls; every other dataclass method is generated.
     def __init__(self, a: int, b: int, c: int, d: int, m: int, N: int) -> None:
-        if m < 1:
+        index(a), index(b), index(c), index(d), index(N)
+        if index(m) < 1:
             raise ValueError(f"modulus must be >= 1, got {m}")
         self.__dict__.update(a=a, b=b, c=c, d=d, m=m, N=N)
 
@@ -469,14 +473,12 @@ def subgroup_witness(
     (a + m*x)(b + m*w) + (c + m*z)(d + m*y) = ab + cd + m*(aw + bx + cy + dz
     + m*(wx + yz)).
     """
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    delta = math.gcd(a, b, c, d, m)
-    if t % delta != 0:
+    # Instance refuses a non-integral value, t included, and m < 1.
+    inst = Instance(a, b, c, d, m, a * b + c * d + m * t)
+    if t % inst.delta() != 0:
         return None
     if t == 0:
         return SubgroupWitness(0, 0, 0, 0, 0)
-    inst = Instance(a, b, c, d, m, a * b + c * d + m * t)
     got = solve_dilated(inst)
     if got is None:
         raise InternalInvariantError(f"subgroup target unreachable: t={t}, {inst!r}")

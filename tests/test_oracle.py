@@ -364,6 +364,46 @@ def test_grid_builds_one_table_per_m_c_d(monkeypatch):
     assert max(sizes) == _far_table_bytes(3, 4) == 2773
 
 
+def test_grid_scans_each_m_c_d_group_over_one_box(monkeypatch):
+    # every (a, b) of a (m, c, d) group is scanned over the box of the
+    # group's far target, (a, b) = (m, m) at +k_window, in the one order
+    # _centered builds for that group: 14 orders for (3, 10), not 98
+    k_window = 10
+    group, scans, orders = [], {}, []
+    build = sumprod.oracle._class_products
+    scan = sumprod.oracle._first_pair
+    center = sumprod.oracle._centered
+
+    def building(c, d, m, box):
+        group[:] = [(m, c, d)]
+        return build(c, d, m, box)
+
+    def centering(box):
+        orders.append((box, center(box)))
+        return orders[-1][1]
+
+    def scanning(a, b, m, n_target, box, order, table):
+        assert order is orders[-1][1]
+        scans.setdefault(group[0], set()).add((a, b, box))
+        return scan(a, b, m, n_target, box, order, table)
+
+    monkeypatch.setattr(sumprod.oracle, "_class_products", building)
+    monkeypatch.setattr(sumprod.oracle, "_centered", centering)
+    monkeypatch.setattr(sumprod.oracle, "_first_pair", scanning)
+    rep = grid_verify_theorem(m_max=3, k_window=k_window)
+    assert rep.ok and rep.values == 98 * (2 * k_window + 1)
+    far_boxes = []
+    for m in (1, 2, 3):
+        for c, d in itertools.product(range(1, m + 1), repeat=2):
+            n_far = m * m + c * d + k_window * math.gcd(c, d, m) * m
+            box = SearchBox.default_for(Instance(m, m, c, d, m, n_far))
+            far_boxes.append(box)
+            pairs = itertools.product(range(1, m + 1), repeat=2)
+            assert scans.pop((m, c, d)) == {(a, b, box) for a, b in pairs}
+    assert not scans
+    assert [box for box, _ in orders] == far_boxes and len(far_boxes) == 14
+
+
 def test_grid_m1_trivial():
     rep = grid_verify_theorem(m_max=1, k_window=5)
     assert rep.ok and rep.instances == 1

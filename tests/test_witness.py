@@ -4,10 +4,12 @@ import inspect
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from sumprod import witness
+from sumprod.classes import CongruenceClass, product_class_contains
 from sumprod import (
     Instance,
     InternalInvariantError,
@@ -449,6 +451,77 @@ def test_instance_dataclass_contract():
         Instance(1, 1, 1, 1, 0, 5)
     with pytest.raises(ValueError, match=r"^modulus must be >= 1, got 0$"):
         dataclasses.replace(inst, m=0)
+
+
+R3_19, R5_19 = CongruenceClass(3, 19), CongruenceClass(5, 19)
+
+# Per entry point: integer calls that warm the plan, row and threshold
+# caches, and non-integral calls that must raise TypeError cold and warm.
+_NON_INTEGRAL = {
+    "solve_dilated": (
+        [lambda: solve_dilated(Instance(3, 5, 2, 2, 19, 152))],
+        [
+            lambda: solve_dilated(Instance(3.0, 5, 2, 2, 19, 152)),
+            lambda: solve_dilated(Instance(3, 5, 2, 2, 19, 152.0)),
+            lambda: solve_dilated(Instance(3, 5, 2, 2, 19, 10**20 + 0.0)),
+            lambda: solve_dilated(Instance(3, 5, 2, 2, 19.0, 152)),
+            lambda: solve_dilated(Instance(3, 5, 2, 2, 19, Fraction(152))),
+        ],
+    ),
+    "solve_progression": (
+        [lambda: solve_progression(Instance(1, 1, 1, 1, 2, 866))],
+        [lambda: solve_progression(Instance(1, 1, 1, 1, 2, 866.0))],
+    ),
+    "subgroup_witness": (
+        [
+            lambda: subgroup_witness(1, 1, 1, 1, 2, 2),
+            lambda: subgroup_witness(2, 4, 6, 8, 10, 2),
+        ],
+        [
+            lambda: subgroup_witness(1, 1, 1, 1, 2, 2.5),
+            lambda: subgroup_witness(2, 4, 6, 8, 10, 2.0),
+        ],
+    ),
+    "IteratedSpec": (
+        [lambda: solve_iterated(IteratedSpec(2, ((1,), (2, 3))), 12)],
+        [lambda: IteratedSpec(2.5, ((1,), (2, 3)))],
+    ),
+    "solve_iterated": (
+        [
+            lambda: solve_iterated(IteratedSpec(7, ((2,), (3, 4))), 21),
+            lambda: solve_iterated(IteratedSpec(7, ((2, 3), (4, 5))), 33),
+        ],
+        [
+            lambda: solve_iterated(IteratedSpec(7, ((2,), (3, 4))), 21.0),
+            lambda: solve_iterated(IteratedSpec(7, ((2, 3), (4, 5))), 33.0),
+        ],
+    ),
+    "CongruenceClass": (
+        [lambda: CongruenceClass(1, 2)],
+        [lambda: CongruenceClass(1, 2.5), lambda: CongruenceClass(1.5, 2)],
+    ),
+    "product_class_contains": (
+        [lambda: product_class_contains(R3_19, R5_19, 15)],
+        [lambda: product_class_contains(R3_19, R5_19, 15.0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_NON_INTEGRAL))
+def test_non_integral_values_refused_cold_and_warm(entry):
+    # a warm cache must not answer a float that hashes like a cached int
+    primes, refused = _NON_INTEGRAL[entry]
+    witness._plan.cache_clear()
+    witness._row.cache_clear()
+    threshold_N0.cache_clear()
+    for call in refused:
+        with pytest.raises(TypeError):
+            call()
+    for call in primes:
+        call()
+    for call in refused:
+        with pytest.raises(TypeError):
+            call()
 
 
 # ---------------------------------------------------------------- row cache
