@@ -26,6 +26,7 @@ from .witness import (
     InternalInvariantError,
     Witness,
     WitnessTrace,
+    _plan,
     _solve,
     subgroup_witness,
     verify_witness,
@@ -60,8 +61,9 @@ def _witness_line(w: Witness) -> str:
 
 
 def _cmd_witness(args) -> int:
-    inst = Instance(args.a, args.b, args.c, args.d, args.m, args.N)
-    got = _solve(inst, args.trace)
+    a, b, c, d, m = args.a, args.b, args.c, args.d, args.m
+    inst = Instance(a, b, c, d, m, args.N)
+    got = _solve(a, b, c, d, m, args.N, _plan(a, b, c, d, m), args.trace, inst)
     if got is None:
         _emit(args, {"status": "not-member"}, "not-member")
         return EXIT_NEGATIVE

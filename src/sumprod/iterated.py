@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional
 
-from .witness import Instance, InternalInvariantError, _solve
+from .witness import Instance, InternalInvariantError, _plan, _solve
 
 __all__ = [
     "IteratedSpec",
@@ -100,10 +100,11 @@ def solve_iterated(spec: IteratedSpec, N: int) -> IteratedResult:
         if (N - base) % m != 0:
             return IteratedResult(NOT_MEMBER, None)
         tail = base - a11 * a12 - a21 * a22
-        inst = Instance(a11, a12, a21, a22, m, N - tail)
+        plan = _plan(a11, a12, a21, a22, m)
         # The gcd above picks the shape, so _solve finds delta = 1 here.
-        got = _solve(inst, False)
+        got = _solve(a11, a12, a21, a22, m, N - tail, plan, False)
         if got is None:  # the residue was checked above
+            inst = Instance(a11, a12, a21, a22, m, N - tail)
             raise InternalInvariantError(f"pair-led target unsolvable: {inst!r}")
         w = got[0]
         values = (

@@ -17,9 +17,9 @@ from .witness import (
     Instance,
     InternalInvariantError,
     Witness,
+    _certificate_ok,
     _component_box,
     _solve_core,
-    verify_witness,
 )
 from . import oracle as _oracle
 
@@ -118,7 +118,7 @@ def solve_progression(inst: Instance) -> ProgressionResult:
             )
         return ProgressionResult(BELOW_THRESHOLD_FAILURE, None, report)
     if not (
-        verify_witness(inst, w)
+        _certificate_ok(a, b, c, d, m, N, w)
         and w.a_prime >= a
         and w.b_prime >= b
         and w.c_prime >= c

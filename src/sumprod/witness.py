@@ -15,18 +15,19 @@ are checked once, when the row is built; those that involve the target, and
 the certificate itself, are checked on every solve.  A violation is a bug,
 never an input condition, and raises InternalInvariantError naming the check.
 
-Every pair solve takes one path, _solve: divide a, b, c, d and m by
-delta = gcd(a, b, c, d, m), run the pipeline on the templates'
-representatives in [1, m/delta], multiply the witness by delta, and verify
-that one certificate against the caller's instance.  What depends on the
-template alone (delta and delta*m, ab + cd, the representatives and m/delta,
-m' and whether the instance moves) is the template's plan, built once and
-kept for the last 64 templates; rows are kept for the last 64 rows.  A
-target whose plan and row are cached costs two cache lookups, the residue
-test, the lift, the 8 target checks and one verify_witness.  The pipeline
-runs on plain ints: only solve_class and the CLI's witness --trace return
-the trace, so only they build one, and a moved instance is built only for
-a returned trace or an error message.
+Every pair solve takes one path, _solve, on the caller's plain ints: divide
+a, b, c, d and m by delta = gcd(a, b, c, d, m), run the pipeline on the
+templates' representatives in [1, m/delta], multiply the witness by delta,
+and check that one certificate against the caller's values.  What depends
+on the template alone (delta and delta*m, ab + cd, the representatives and
+m/delta, m' and whether the instance moves) is the template's plan, built
+once and kept for the last 64 templates; rows are kept for the last 64
+rows.  The caller reads the plan and hands it to _solve, so the grid sweep
+reads it once for all of a template's targets.  A target whose plan and row
+are cached costs the plan lookup, the row lookup, the residue test, the
+lift, the 8 target checks and one certificate check.  Only solve_class and
+the CLI's witness --trace return the trace, so only they build one, and an
+Instance is built only for a returned trace or an error message.
 """
 
 from __future__ import annotations
@@ -72,9 +73,16 @@ class Instance:
     # operator.index only checks the values: a float, a string or a Fraction
     # raises TypeError, and the caller's own objects are stored.  One dict
     # update in place of the frozen dataclass's six object.__setattr__
-    # calls; every other dataclass method is generated.
+    # calls; every other dataclass method is generated.  Storing the six
+    # items one at a time builds an Instance faster on CPython 3.11, but its
+    # attribute reads are about twice as slow, and a warm solve_dilated of
+    # a new Instance got slower overall.
     def __init__(self, a: int, b: int, c: int, d: int, m: int, N: int) -> None:
-        index(a), index(b), index(c), index(d), index(N)
+        index(a)
+        index(b)
+        index(c)
+        index(d)
+        index(N)
         if index(m) < 1:
             raise ValueError(f"modulus must be >= 1, got {m}")
         self.__dict__.update(a=a, b=b, c=c, d=d, m=m, N=N)
@@ -144,16 +152,20 @@ class WitnessTrace:
     s: int
 
 
+def _certificate_ok(a: int, b: int, c: int, d: int, m: int, N: int, w: Witness) -> bool:
+    # a'b' + c'd' = N with each component congruent to its template mod m.
+    return (
+        (w.a_prime - a) % m == 0
+        and (w.b_prime - b) % m == 0
+        and (w.c_prime - c) % m == 0
+        and (w.d_prime - d) % m == 0
+        and w.a_prime * w.b_prime + w.c_prime * w.d_prime == N
+    )
+
+
 def verify_witness(inst: Instance, w: Witness) -> bool:
     """Pure-arithmetic certificate check: four congruences plus the exact sum."""
-    m = inst.m
-    return (
-        (w.a_prime - inst.a) % m == 0
-        and (w.b_prime - inst.b) % m == 0
-        and (w.c_prime - inst.c) % m == 0
-        and (w.d_prime - inst.d) % m == 0
-        and w.a_prime * w.b_prime + w.c_prime * w.d_prime == inst.N
-    )
+    return _certificate_ok(inst.a, inst.b, inst.c, inst.d, inst.m, inst.N, w)
 
 
 def _component_box(a: int, b: int, c: int, d: int, m: int) -> tuple[int, int]:
@@ -400,31 +412,40 @@ def _plan(
 
 
 def _solve(
-    inst: Instance, traced: bool
+    a: int, b: int, c: int, d: int, m: int, N: int,
+    plan: tuple[int, int, int, int, int, int, int, int, int, bool],
+    traced: bool, inst: Optional[Instance] = None,
 ) -> Optional[tuple[Witness, int, Optional[WitnessTrace]]]:
-    # The dilated theorem in one move: divide a, b, c, d, m by delta, solve
-    # the coprime instance on the templates' representatives, and scale the
-    # witness back.  The template's part comes from its cached plan.
-    delta, dm, base, a, b, c, d, m, m_p, moved = _plan(
-        inst.a, inst.b, inst.c, inst.d, inst.m
-    )
-    N = inst.N
+    # The dilated theorem in one move, for every pair solve: divide a, b, c,
+    # d, m by delta, solve the coprime instance on the templates'
+    # representatives, and scale the witness back.  plan is _plan(a, b, c,
+    # d, m), read by the caller, so a caller with many targets of one
+    # template reads it once.  inst is Instance(a, b, c, d, m, N) when the
+    # caller holds one, else None; it is built only for a returned trace or
+    # an error message.
+    delta, dm, base, ra, rb, rc, rd, rm, m_p, moved = plan
     if (N - base) % dm != 0:
         return None
+    rN = N
     if delta != 1:
         # N = ab + cd + t*delta*m = delta^2 * (AB + CD + t*M): divisibility
         # is forced.
         if N % (delta * delta) != 0:
+            if inst is None:
+                inst = Instance(a, b, c, d, m, N)
             raise InternalInvariantError(f"N not divisible by delta^2 for {inst!r}")
-        N //= delta * delta
-    w, trace = _solve_core(a, b, c, d, m, N, m_p, traced, None if moved else inst)
+        rN //= delta * delta
+    w, trace = _solve_core(ra, rb, rc, rd, rm, rN, m_p, traced, None if moved else inst)
     if delta != 1:
         w = Witness(
             delta * w.a_prime, delta * w.b_prime, delta * w.c_prime, delta * w.d_prime
         )
     # x ≡ a/delta (mod m/delta) exactly when delta*x ≡ a (mod m), and the sum
-    # scales by delta^2, so this one check on inst covers the reduced solve.
-    if not verify_witness(inst, w):
+    # scales by delta^2, so this one check on the caller's values covers the
+    # reduced solve.
+    if not _certificate_ok(a, b, c, d, m, N, w):
+        if inst is None:
+            inst = Instance(a, b, c, d, m, N)
         raise InternalInvariantError(f"witness failed verification: {w!r} for {inst!r}")
     return w, delta, trace
 
@@ -437,11 +458,12 @@ def solve_class(inst: Instance) -> Optional[tuple[Witness, WitnessTrace]]:
     to their representatives in [1, m], which the positivity arguments of
     the construction require (congruences are unaffected).
     """
-    if math.gcd(inst.a, inst.b, inst.c, inst.d, inst.m) != 1:
+    a, b, c, d, m = inst.a, inst.b, inst.c, inst.d, inst.m
+    if math.gcd(a, b, c, d, m) != 1:
         raise ValueError(
             "gcd(a, b, c, d, m) != 1: use solve_dilated for the general case"
         )
-    got = _solve(inst, True)
+    got = _solve(a, b, c, d, m, inst.N, _plan(a, b, c, d, m), True, inst)
     return None if got is None else (got[0], got[2])
 
 
@@ -457,9 +479,12 @@ def solve_dilated(inst: Instance) -> Optional[tuple[Witness, int]]:
     once per template and kept for the last 64 templates, and the pipeline
     up to the lift once per (template, k mod m') row, kept for the last 64
     rows.  A target of a cached template and row then pays the residue
-    test, the lift, the 8 target checks and one verify_witness.
+    test, the lift, the 8 target checks and one certificate check.
     """
-    got = _solve(inst, False)
+    got = _solve(
+        inst.a, inst.b, inst.c, inst.d, inst.m, inst.N,
+        _plan(inst.a, inst.b, inst.c, inst.d, inst.m), False, inst,
+    )
     return None if got is None else got[:2]
 
 

@@ -330,7 +330,7 @@ def test_help_exits_zero(capsys):
 
 
 def test_internal_invariant_exit_code(capsys, monkeypatch):
-    def boom(inst, traced):
+    def boom(*args):
         raise InternalInvariantError("injected")
 
     monkeypatch.setattr("sumprod.cli._solve", boom)
@@ -341,7 +341,7 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
 
 def test_unexpected_exception_exit_code(capsys, monkeypatch):
     # a bug that is not an invariant check still exits 3, in one stderr line
-    def boom(inst, traced):
+    def boom(*args):
         raise ZeroDivisionError("injected")
 
     monkeypatch.setattr("sumprod.cli._solve", boom)

@@ -157,6 +157,32 @@ def test_iterated_member_search_refuses_negative_bound(bounds):
     assert iterated_member_search(((1,), (1,)), 3, 2, (0, 0)) == (True, ((0,), (0,)))
 
 
+@pytest.mark.parametrize(
+    "terms, m, n_target, bounds",
+    [
+        (((1,), (2, 3)), 2.5, 12, (3, 3)),
+        (((1,), (2, 3)), 2, 13.0, (3, 3)),
+        (((1,), (2.0, 3)), 2, 13, (3, 3)),
+        (((1,), (2, 3)), 2, 12, (3, 3.5)),
+    ],
+    ids=["m", "n_target", "coefficient", "bound"],
+)
+def test_iterated_member_search_refuses_non_integral(terms, m, n_target, bounds):
+    # refused before any work: not searched over residue classes mod 2.5
+    # (which found a "decomposition" of 12), with a float in place of an
+    # int, or answered by the residue test (12 is not 7 mod 2) with a float
+    # bound; the all-integral call finds a decomposition of 13
+    with pytest.raises(TypeError):
+        iterated_member_search(terms, m, n_target, bounds)
+    assert iterated_member_search(((1,), (2, 3)), 2, 13, (3, 3))[0]
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_iterated_member_search_refuses_nonpositive_modulus(m):
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        iterated_member_search(((1,), (2, 3)), m, 13, (3, 3))
+
+
 def test_pair_led_unsolvable_is_an_invariant_error(capsys, monkeypatch):
     # The residue check guarantees the pair solver a result; if it ever
     # returned None, that is a bug, reported like every other invariant.

@@ -7,6 +7,7 @@ from typing import Optional, Sequence
 import pytest
 
 import sumprod.oracle
+from sumprod import witness
 from sumprod import (
     Instance,
     SearchBox,
@@ -14,6 +15,7 @@ from sumprod import (
     grid_verify_theorem,
     oracle_member_class,
     oracle_member_progression,
+    solve_dilated,
     strictness_demo,
 )
 from sumprod.classes import _positive_divisors
@@ -482,6 +484,79 @@ def test_grid_catches_injected_fault():
     assert not rep.ok
     assert all(d[6] == "verify-failed" for d in rep.discrepancies)
     assert len(rep.discrepancies) == 5
+
+
+def _sweep_targets(m_max, k_window):
+    # Every target of grid_verify_theorem(m_max, k_window), in sweep order.
+    for m in range(1, m_max + 1):
+        for c, d in itertools.product(range(1, m + 1), repeat=2):
+            for a, b in itertools.product(range(1, m + 1), repeat=2):
+                step = math.gcd(a, b, c, d, m) * m
+                for t in range(-k_window, k_window + 1):
+                    yield a, b, c, d, m, a * b + c * d + t * step
+
+
+def test_grid_certificates_are_solve_dilated_s():
+    # the sweep's per-target solve is solve_dilated's: on every target, the
+    # certificate the corrupt hook sees is the one solve_dilated returns
+    seen = []
+
+    def observe(w: Witness) -> Witness:
+        seen.append(w)
+        return w
+
+    rep = grid_verify_theorem(m_max=3, k_window=30, corrupt=observe)
+    assert rep.ok and rep.values == 98 * 61 == len(seen)
+    targets = list(_sweep_targets(3, 30))
+    assert seen == [solve_dilated(Instance(*target))[0] for target in targets]
+
+
+def test_grid_reads_each_plan_once_and_solves_without_solve_dilated(monkeypatch):
+    # one _plan miss per template and no per-target lookups; every target
+    # goes through witness._solve, with no solve_dilated and no Instance:
+    # the sweep builds one only for the budget's box and each group's box
+    calls, built = [], []
+    real = witness._solve
+
+    def counting(*args):
+        calls.append(args[:6])
+        return real(*args)
+
+    def building(*args):
+        built.append(args)
+        return Instance(*args)
+
+    def refused(*args):
+        raise AssertionError("called by the sweep")
+
+    assert sumprod.oracle._solve is witness._solve
+    monkeypatch.setattr(sumprod.oracle, "_solve", counting)
+    monkeypatch.setattr(sumprod.oracle, "Instance", building)
+    monkeypatch.setattr(sumprod.oracle, "solve_dilated", refused, raising=False)
+    monkeypatch.setattr(witness, "solve_dilated", refused)
+    monkeypatch.setattr(witness, "Instance", refused)
+    witness._plan.cache_clear()
+    rep = grid_verify_theorem(m_max=3, k_window=5)
+    assert rep.ok and rep.instances == 98
+    info = witness._plan.cache_info()
+    assert (info.hits, info.misses) == (0, 98)
+    assert calls == list(_sweep_targets(3, 5))
+    assert len(built) == 1 + 14
+
+
+def test_grid_reports_a_solver_not_member(monkeypatch):
+    # a target the solver calls a non-member is a discrepancy, not a skip,
+    # and the sweep goes on to the next target
+    real = witness._solve
+    missed = (2, 1, 1, 1, 2, 2 + 1 + 3 * 2)
+
+    def dropping(*args):
+        return None if args[:6] == missed else real(*args)
+
+    monkeypatch.setattr(sumprod.oracle, "_solve", dropping)
+    rep = grid_verify_theorem(m_max=2, k_window=4)
+    assert rep.discrepancies == [missed + ("solver-not-member",)]
+    assert rep.values == 17 * 9
 
 
 def test_grid_full_desk_scale():

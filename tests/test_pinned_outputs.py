@@ -30,6 +30,13 @@ def _digest(rows):
     return count, h.hexdigest()
 
 
+def _solve(inst, traced):
+    # the CLI's witness path: read the template's plan, then the pair solve
+    a, b, c, d, m = inst.a, inst.b, inst.c, inst.d, inst.m
+    plan = witness._plan(a, b, c, d, m)
+    return witness._solve(a, b, c, d, m, inst.N, plan, traced, inst)
+
+
 def _dilated_instances():
     # Every template with m <= 5 at 6 steps either side of ab + cd, then 200
     # seeded instances with 64-bit moduli.
@@ -48,7 +55,7 @@ def _dilated_instances():
 
 def _dilated_rows():
     for inst in _dilated_instances():
-        w, delta, trace = witness._solve(inst, True)
+        w, delta, trace = _solve(inst, True)
         yield dataclasses.astuple(w), delta, dataclasses.astuple(trace)
 
 
@@ -90,7 +97,7 @@ def test_large_moduli_outputs_pinned():
     m_prime_above_1 = 0
     rows = []
     for inst in _large_moduli_instances():
-        w, delta, trace = witness._solve(inst, True)
+        w, delta, trace = _solve(inst, True)
         m_prime_above_1 += trace.m_prime > 1
         rows.append((dataclasses.astuple(w), delta, dataclasses.astuple(trace)))
     assert m_prime_above_1 == 338

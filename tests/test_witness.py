@@ -8,6 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+import sumprod.cli
+import sumprod.iterated
+import sumprod.oracle
 from sumprod import witness
 from sumprod.classes import CongruenceClass, product_class_contains
 from sumprod import (
@@ -28,6 +31,13 @@ from sumprod import (
     validate_trace,
     verify_witness,
 )
+
+
+def _solve(inst, traced):
+    # the CLI's witness path: read the template's plan, then the pair solve
+    a, b, c, d, m = inst.a, inst.b, inst.c, inst.d, inst.m
+    plan = witness._plan(a, b, c, d, m)
+    return witness._solve(a, b, c, d, m, inst.N, plan, traced, inst)
 
 
 # ---------------------------------------------------------------- the lift
@@ -335,10 +345,10 @@ def test_traced_solves_return_a_valid_trace(inst):
         w, trace = solve_class(inst)
         assert isinstance(trace, WitnessTrace)
         validate_trace(trace)
-    w, delta, trace = witness._solve(inst, True)
+    w, delta, trace = _solve(inst, True)
     assert isinstance(trace, WitnessTrace)
     validate_trace(trace)
-    assert witness._solve(inst, False) == (w, delta, None)
+    assert _solve(inst, False) == (w, delta, None)
 
 
 def _wrap_row(monkeypatch, change):
@@ -564,7 +574,7 @@ def test_cold_row_extended_gcd_calls(monkeypatch, template, calls):
 def _grid_outputs(instances):
     out = {}
     for inst in instances:
-        w, delta, trace = witness._solve(inst, True)
+        w, delta, trace = _solve(inst, True)
         out[inst] = (dataclasses.asdict(w), delta, dataclasses.asdict(trace))
     return out
 
@@ -629,7 +639,7 @@ _PLAN_SAMPLE_DIGEST = "71a17af8fd292ce9a9349c6776cd2df3ed4dc4492d669faf21563d05a
 
 
 def _solvers(inst):
-    solvers = [solve_dilated, lambda inst: witness._solve(inst, True)]
+    solvers = [solve_dilated, lambda inst: _solve(inst, True)]
     if inst.delta() == 1:
         solvers.append(solve_class)
     return solvers
@@ -654,7 +664,7 @@ def test_warm_plan_returns_what_a_cold_solve_returns():
     witness._row.cache_clear()
     warm = []
     for inst in instances:
-        witness._solve(inst, False)
+        _solve(inst, False)
         misses = witness._plan.cache_info().misses, witness._row.cache_info().misses
         warm.append([solve(inst) for solve in _solvers(inst)])
         # every call read the plan and the row the first one built
@@ -721,25 +731,45 @@ def test_solve_dilated_examples():
     assert solve_dilated(Instance(2, 4, 6, 8, 10, 66)) is None
 
 
+def test_every_pair_solver_calls_the_one_solve(monkeypatch):
+    # solve_dilated, solve_class, the CLI's witness, solve_iterated's
+    # pair-led branch and the grid sweep (tests/test_oracle.py) share one
+    # per-target solve, witness._solve, and each target is one call
+    for module in (sumprod.cli, sumprod.iterated, sumprod.oracle):
+        assert module._solve is witness._solve
+    calls = []
+    real = witness._solve
+
+    def counting(*args):
+        calls.append(args[:6])
+        return real(*args)
+
+    monkeypatch.setattr(witness, "_solve", counting)
+    inst = Instance(3, 5, 2, 2, 19, 152)
+    assert solve_dilated(inst)[0] == solve_class(inst)[0]
+    assert calls == [dataclasses.astuple(inst)] * 2
+
+
 def test_solve_dilated_verifies_each_certificate_once(monkeypatch):
     calls = []
+    real = witness._certificate_ok
 
-    def counting(inst, w):
-        calls.append(inst)
-        return verify_witness(inst, w)
+    def counting(*args):
+        calls.append(args[:6])
+        return real(*args)
 
-    monkeypatch.setattr(witness, "verify_witness", counting)
-    # delta = 1: one check, on inst
+    monkeypatch.setattr(witness, "_certificate_ok", counting)
+    # delta = 1: one check, on inst's values
     inst = Instance(3, 5, 2, 2, 19, 152)
     assert solve_dilated(inst)[1] == 1
-    assert calls == [inst]
-    # delta = 2: only the scaled certificate is checked, on inst.  No check
-    # is lost: delta*x ≡ a (mod m) exactly when x ≡ a/delta (mod m/delta),
-    # and the sum scales by delta^2.
+    assert calls == [dataclasses.astuple(inst)]
+    # delta = 2: only the scaled certificate is checked, on inst's values.
+    # No check is lost: delta*x ≡ a (mod m) exactly when x ≡ a/delta
+    # (mod m/delta), and the sum scales by delta^2.
     calls.clear()
     inst = Instance(2, 4, 6, 8, 10, 76)
     assert solve_dilated(inst)[1] == 2
-    assert calls == [inst]
+    assert calls == [dataclasses.astuple(inst)]
 
 
 def test_solve_dilated_coprime_falls_through():
