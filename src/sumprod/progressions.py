@@ -19,6 +19,7 @@ from .witness import (
     Witness,
     _certificate_ok,
     _component_box,
+    _far_from,
     _solve_core,
 )
 from . import oracle as _oracle
@@ -110,7 +111,11 @@ def solve_progression(inst: Instance) -> ProgressionResult:
     if N == base:
         # Smallest member: the templates themselves already decompose it.
         return ProgressionResult(WITNESS, Witness(a, b, c, d), report)
-    w, _ = _solve_core(a, b, c, d, m, N, math.gcd(a, c, m), False, inst)
+    # The one-sided proof cannot move the template, so m' and the window
+    # threshold are the template's as given.
+    w, _ = _solve_core(
+        a, b, c, d, m, N, math.gcd(a, c, m), _far_from(b, c, m), False, inst
+    )
     if w.d_prime < d:
         if N >= report.N0:
             raise InternalInvariantError(

@@ -3,13 +3,18 @@ to its template modulo m.
 
 The pipeline follows the underlying existence proof step by step and records
 every intermediate in a WitnessTrace: solve b*x + d*y + m'*z = k, reduce x, y
-into fixed windows, shift (a0, c0) by the smallest multiple of m that leaves
-gcd(a1, c1) with m'-part exactly m', shift c1 by the smallest multiple of
-m*m' that clears the remaining prime interference, and finish with the
+into windows of m' values, shift (a0, c0) by the smallest multiple of m that
+leaves gcd(a1, c1) with m'-part exactly m', shift c1 by the smallest multiple
+of m*m' that clears the remaining prime interference, and finish with the
 least-r lift of (b, d) by the inverse of a'/m' modulo c'/m'.  The first
 step's Bezout pairs and that inverse come from math.gcd and pow(., -1, .).
+x' lies in [0, m' - 1].  y' lies in the far window [b*m, b*m + m' - 1]
+when N >= m*c*(c + b*m*m), and else in the near window
+[b*(m' - 1), b*(m' - 1) + m' - 1].  Both keep c1 >= c; the near window
+makes c', and so the certificate, smaller on targets below that size.
 Every step before the lift, and that inverse, depends on the target only
-through k mod m', so it is built once per (template, k mod m') row and cached.
+through k mod m' and the window, so it is built once per (template,
+k mod m', window) row and cached.
 Every trace field has an invariant that is a theorem.  The row's invariants
 are checked once, when the row is built; those that involve the target, and
 the certificate itself, are checked on every solve.  A violation is a bug,
@@ -17,17 +22,18 @@ never an input condition, and raises InternalInvariantError naming the check.
 
 Every pair solve takes one path, _solve, on the caller's plain ints: divide
 a, b, c, d and m by delta = gcd(a, b, c, d, m), run the pipeline on the
-templates' representatives in [1, m/delta], multiply the witness by delta,
-and check that one certificate against the caller's values.  What depends
-on the template alone (delta and delta*m, ab + cd, the representatives and
-m/delta, m' and whether the instance moves) is the template's plan, built
-once and kept for the last 64 templates; rows are kept for the last 64
-rows.  The caller reads the plan and hands it to _solve, so the grid sweep
-reads it once for all of a template's targets.  A target whose plan and row
-are cached costs the plan lookup, the row lookup, the residue test, the
-lift, the 8 target checks and one certificate check.  Only solve_class and
-the CLI's witness --trace return the trace, so only they build one, and an
-Instance is built only for a returned trace or an error message.
+templates' representatives in [1, m/delta] and N/delta^2, multiply the
+witness by delta, and check that one certificate against the caller's
+values.  What depends on the template alone (delta and delta*m, ab + cd, the
+representatives and m/delta, m', whether the instance moves and the far
+window's threshold) is the template's plan, built once and kept for the last
+64 templates; rows are kept for the last 64 rows.  The caller reads the plan
+and hands it to _solve, so the grid sweep reads it once for all of a
+template's targets.  A target whose plan and row are cached costs the plan
+lookup, the row lookup, the residue test, the lift, the 8 target checks and
+one certificate check.  Only solve_class and the CLI's witness --trace
+return the trace, so only they build one, and an Instance is built only for
+a returned trace or an error message.
 """
 
 from __future__ import annotations
@@ -174,20 +180,36 @@ def _component_box(a: int, b: int, c: int, d: int, m: int) -> tuple[int, int]:
     return a + (d + 1) * mm, c + (a + b + 1) * mm + (d + 1) * mm * mm
 
 
+def _far_from(b: int, c: int, m: int) -> int:
+    # The least target N whose rows put y' in the far window.  The lift
+    # gives b' up to about m*c' and d' about N/c', and c' is about
+    # c + b*m*m in the far window and about c in the near one, so the near
+    # window makes the smaller certificate about when N/c < m*(c + b*m*m).
+    return m * c * (c + b * m * m)
+
+
+def _y_low(b: int, m: int, mp: int, far: bool) -> int:
+    # The low end of y''s window of m' values, far or near.  Either keeps
+    # c1 = c0 - b*m*u >= c for every u <= m' - 1, and keeps c' inside
+    # _component_box.
+    return b * m if far else b * (mp - 1)
+
+
 def _row_checks(
-    a: int, b: int, c: int, d: int, m: int, mp: int,
+    a: int, b: int, c: int, d: int, m: int, mp: int, far: bool,
     x_p: int, y_p: int, a0: int, c0: int, u: int,
     a1: int, c1: int, v: int, a_p: int, c_p: int,
 ) -> list[str]:
-    # The names of the failed invariants that depend on the template and
-    # k mod m' alone, in evaluation order.
+    # The names of the failed invariants that depend on the template, k mod
+    # m' and the window alone, in evaluation order.
     a_hi, c_hi = _component_box(a, b, c, d, m)
+    y_lo = _y_low(b, m, mp, far)
     failed = []
     if not mp == math.gcd(a, c, m):
         failed.append("m_prime")
     if not 0 <= x_p <= mp - 1:
         failed.append("x_prime_window")
-    if not b * m <= y_p <= b * m + mp - 1:
+    if not y_lo <= y_p <= y_lo + mp - 1:
         failed.append("y_prime_window")
     if not a0 == a + m * x_p:
         failed.append("a0")
@@ -256,7 +278,8 @@ def validate_trace(trace: WitnessTrace) -> None:
     t = trace
     i = t.instance
     failed = _row_checks(
-        i.a, i.b, i.c, i.d, i.m, t.m_prime, t.x_prime, t.y_prime,
+        i.a, i.b, i.c, i.d, i.m, t.m_prime, i.N >= _far_from(i.b, i.c, i.m),
+        t.x_prime, t.y_prime,
         t.a0, t.c0, t.u, t.a1, t.c1, t.v, t.a_prime, t.c_prime,
     ) + _target_checks(
         i.a, i.b, i.c, i.d, i.m, i.N, t.m_prime, t.k, t.x, t.y, t.z,
@@ -275,16 +298,18 @@ _ROW_CACHE_SIZE = 64
 
 @functools.lru_cache(maxsize=_ROW_CACHE_SIZE)
 def _row(
-    a: int, b: int, c: int, d: int, m: int, k_res: int
+    a: int, b: int, c: int, d: int, m: int, k_res: int, far: bool
 ) -> tuple[tuple[int, ...], ...]:
     # The pipeline up to (a', c'), which depends on the target only through
-    # k_res = k mod m', as one group per proof stage in WitnessTrace order:
-    # the unit solution, the windows, the u- and v-steps, and the lift's
-    # data (a'/m', c'/m', inverse of a'/m' mod c'/m').  (x1, y1, z1) solves
-    # b*x + d*y + m'*z = 1 from the Bezout pairs of (gcd(b, d), m') and
-    # (b, d), which gcd(b, d, m') = gcd(a, b, c, d, m) = 1 allows; so
-    # k*(x1, y1, z1) solves it for k, and x', y' are read off k_res*(x1, y1).
-    # At m' = 1, s2 = 0, so (b, d)'s pair (s1, t1) drops out, uncomputed.
+    # k_res = k mod m' and the y' window its size picks (far is N >=
+    # _far_from(b, c, m)), as one group per proof stage in WitnessTrace
+    # order: the unit solution, the windows, the u- and v-steps, and the
+    # lift's data (a'/m', c'/m', inverse of a'/m' mod c'/m').  (x1, y1, z1)
+    # solves b*x + d*y + m'*z = 1 from the Bezout pairs of (gcd(b, d), m')
+    # and (b, d), which gcd(b, d, m') = gcd(a, b, c, d, m) = 1 allows; so
+    # k*(x1, y1, z1) solves it for k, and x', y' are read off k_res*(x1, y1)
+    # into [0, m' - 1] and the y' window.  At m' = 1 the near window is {0},
+    # so c0 = c; and s2 = 0, so (b, d)'s pair (s1, t1) drops out, uncomputed.
     m_p = math.gcd(a, c, m)
     g, s2, t2 = _bezout(math.gcd(b, d), m_p)
     if g != 1:
@@ -294,7 +319,8 @@ def _row(
     s1, t1 = _bezout(b, d)[1:] if s2 else (0, 0)
     x1, y1, z1 = s1 * s2, t1 * s2, t2
     x_p = k_res * x1 % m_p
-    y_p = b * m + ((k_res * y1 - b * m) % m_p)
+    y_lo = _y_low(b, m, m_p, far)
+    y_p = y_lo + (k_res * y1 - y_lo) % m_p
     a0 = a + m * x_p
     c0 = c + m * y_p
 
@@ -320,7 +346,9 @@ def _row(
     else:
         raise InternalInvariantError(f"no v-shift up to a1={a1} for c1={c1}")
 
-    failed = _row_checks(a, b, c, d, m, m_p, x_p, y_p, a0, c0, u, a1, c1, v, a_p, c_p)
+    failed = _row_checks(
+        a, b, c, d, m, m_p, far, x_p, y_p, a0, c0, u, a1, c1, v, a_p, c_p
+    )
     if failed:
         # Raised, so the row is never cached.
         raise InternalInvariantError(
@@ -337,17 +365,18 @@ def _row(
 
 
 def _solve_core(
-    a: int, b: int, c: int, d: int, m: int, N: int, m_p: int, traced: bool,
-    inst: Optional[Instance],
+    a: int, b: int, c: int, d: int, m: int, N: int, m_p: int, far_from: int,
+    traced: bool, inst: Optional[Instance],
 ) -> tuple[Witness, Optional[WitnessTrace]]:
-    # Pre: a, b, c, d >= 1, gcd(a, b, c, d, m) = 1, N ≡ ab + cd (mod m) and
-    # m_p = gcd(a, c, m).  inst is Instance(a, b, c, d, m, N) when the caller
-    # holds one, else None; it is built only for a returned trace or an error.
-    # The witness is integral; the one-sided caller checks d' >= d itself.
+    # Pre: a, b, c, d >= 1, gcd(a, b, c, d, m) = 1, N ≡ ab + cd (mod m),
+    # m_p = gcd(a, c, m) and far_from = _far_from(b, c, m).  inst is
+    # Instance(a, b, c, d, m, N) when the caller holds one, else None; it is
+    # built only for a returned trace or an error.  The witness is integral;
+    # the one-sided caller checks d' >= d itself.
     base = a * b + c * d
     k = (N - base) // m
     (x1, y1, z1), (x_p, y_p), steps, (big_a, big_c, inv) = _row(
-        a, b, c, d, m, k % m_p
+        a, b, c, d, m, k % m_p, N >= far_from
     )
     x, y, z = k * x1, k * y1, k * z1
     q_x, q_y = (x - x_p) // m_p, (y - y_p) // m_p
@@ -395,25 +424,28 @@ _PLAN_CACHE_SIZE = 64
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _plan(
     a: int, b: int, c: int, d: int, m: int
-) -> tuple[int, int, int, int, int, int, int, int, int, bool]:
+) -> tuple[int, int, int, int, int, int, int, int, int, bool, int]:
     # Everything _solve needs of the caller's template alone: delta and
     # delta*m, ab + cd, the reduced templates' representatives in
     # [1, m/delta] (the construction needs them positive) and m/delta, m' of
-    # the reduced template, and whether the reduced instance differs from
-    # the caller's.  m' = gcd(a, c, m) = gcd(a mod m, c mod m, m), so moving
-    # to the representatives leaves it as it is.
+    # the reduced template, whether the reduced instance differs from the
+    # caller's, and the reduced template's far-window threshold, so that a
+    # target picks its window with one comparison.  m' = gcd(a, c, m) =
+    # gcd(a mod m, c mod m, m), so moving to the representatives leaves it
+    # as it is.
     delta = math.gcd(a, b, c, d, m)
     ra, rb, rc, rd, rm = a // delta, b // delta, c // delta, d // delta, m // delta
     ra, rb, rc, rd = ra % rm or rm, rb % rm or rm, rc % rm or rm, rd % rm or rm
     moved = delta != 1 or (ra, rb, rc, rd) != (a, b, c, d)
     return (
-        delta, delta * m, a * b + c * d, ra, rb, rc, rd, rm, math.gcd(ra, rc, rm), moved
+        delta, delta * m, a * b + c * d, ra, rb, rc, rd, rm, math.gcd(ra, rc, rm),
+        moved, _far_from(rb, rc, rm),
     )
 
 
 def _solve(
     a: int, b: int, c: int, d: int, m: int, N: int,
-    plan: tuple[int, int, int, int, int, int, int, int, int, bool],
+    plan: tuple[int, int, int, int, int, int, int, int, int, bool, int],
     traced: bool, inst: Optional[Instance] = None,
 ) -> Optional[tuple[Witness, int, Optional[WitnessTrace]]]:
     # The dilated theorem in one move, for every pair solve: divide a, b, c,
@@ -423,7 +455,7 @@ def _solve(
     # template reads it once.  inst is Instance(a, b, c, d, m, N) when the
     # caller holds one, else None; it is built only for a returned trace or
     # an error message.
-    delta, dm, base, ra, rb, rc, rd, rm, m_p, moved = plan
+    delta, dm, base, ra, rb, rc, rd, rm, m_p, moved, far_from = plan
     if (N - base) % dm != 0:
         return None
     rN = N
@@ -435,7 +467,9 @@ def _solve(
                 inst = Instance(a, b, c, d, m, N)
             raise InternalInvariantError(f"N not divisible by delta^2 for {inst!r}")
         rN //= delta * delta
-    w, trace = _solve_core(ra, rb, rc, rd, rm, rN, m_p, traced, None if moved else inst)
+    w, trace = _solve_core(
+        ra, rb, rc, rd, rm, rN, m_p, far_from, traced, None if moved else inst
+    )
     if delta != 1:
         w = Witness(
             delta * w.a_prime, delta * w.b_prime, delta * w.c_prime, delta * w.d_prime
@@ -475,11 +509,12 @@ def solve_dilated(inst: Instance) -> Optional[tuple[Witness, int]]:
     witness and delta.  The witness satisfies the congruences for the
     original modulus m and is verified once, against inst itself.
 
-    The template's own work (delta, the reduced representatives, m') is done
-    once per template and kept for the last 64 templates, and the pipeline
-    up to the lift once per (template, k mod m') row, kept for the last 64
-    rows.  A target of a cached template and row then pays the residue
-    test, the lift, the 8 target checks and one certificate check.
+    The template's own work (delta, the reduced representatives, m', the
+    far window's threshold) is done once per template and kept for the last
+    64 templates, and the pipeline up to the lift once per (template,
+    k mod m', y' window) row, kept for the last 64 rows.  A target of a
+    cached template and row then pays the residue test, the lift, the 8
+    target checks and one certificate check.
     """
     got = _solve(
         inst.a, inst.b, inst.c, inst.d, inst.m, inst.N,

@@ -103,7 +103,7 @@ def test_witness_builds_a_trace_only_under_trace(capsys, monkeypatch):
     argv = ["witness", "3", "5", "2", "2", "19", "152"]
     monkeypatch.setattr("sumprod.witness.WitnessTrace", no_trace)
     code, out, err = run_cap(capsys, argv)
-    assert (code, out, err) == (0, "delta=1\na'=3 b'=33179 c'=1807 d'=-55\n", "")
+    assert (code, out, err) == (0, "delta=1\na'=3 b'=24 c'=2 d'=40\n", "")
     # the patch does bite: --trace builds one
     code, out, err = run_cap(capsys, argv + ["--trace"])
     assert code == 3 and "WitnessTrace built" in err
@@ -351,10 +351,18 @@ def test_unexpected_exception_exit_code(capsys, monkeypatch):
 
 
 def test_witness_longer_than_int_str_limit(capsys):
-    # b' has 4501 digits, past the interpreter's default int-to-str limit
+    # b' has 4501 digits, past the interpreter's default int-to-str limit.
+    # N has 4503 digits, at or above the far-window threshold
+    # m*c*(c + b*m*m) of 4502, so c' is about b*m*m and b' up to m*c'.
     limit = sys.get_int_max_str_digits()
     big_m = 10**1500 + 7
-    operands = ["3", "5", "2", "2", str(big_m), str(19 + big_m * 10**1500)]
+    n_target = 19 + big_m * 10**3002
+    assert n_target >= big_m * 2 * (2 + 5 * big_m * big_m)
+    sys.set_int_max_str_digits(0)  # for this test's own str(n_target)
+    try:
+        operands = ["3", "5", "2", "2", str(big_m), str(n_target)]
+    finally:
+        sys.set_int_max_str_digits(limit)
     code, out, _ = run_cap(capsys, ["witness", *operands])
     assert code == 0
     fields = dict(tok.split("=") for tok in out.splitlines()[1].split())
@@ -387,32 +395,37 @@ GOLDEN = {
     # part of the CLI contract, so any change to them must show up here
     ("witness", "3", "5", "2", "2", "19", "152", "--trace"): (
         '{"status": "witness", "delta": 1, "witness": {"a_prime": 3, '
-        '"b_prime": 33179, "c_prime": 1807, "d_prime": -55}, "trace": '
+        '"b_prime": 24, "c_prime": 2, "d_prime": 40}, "trace": '
         '{"instance": [3, 5, 2, 2, 19, 152], "m_prime": 1, "k": 7, "x": 0, '
-        '"y": 0, "z": 7, "x_prime": 0, "y_prime": 95, "q_x": 0, "q_y": -95, '
-        '"a0": 3, "c0": 1807, "u": 0, "a1": 3, "c1": 1807, "v": 0, '
-        '"a_prime": 3, "c_prime": 1807, "ell": -183, "r": 1746, "s": -3}}'
+        '"y": 0, "z": 7, "x_prime": 0, "y_prime": 0, "q_x": 0, "q_y": 0, '
+        '"a0": 3, "c0": 2, "u": 0, "a1": 3, "c1": 2, "v": 0, '
+        '"a_prime": 3, "c_prime": 2, "ell": 7, "r": 1, "s": 2}}'
     ),
     ("witness", "2", "4", "6", "8", "10", "76", "--trace"): (
         '{"status": "witness", "delta": 2, "witness": {"a_prime": 2, '
-        '"b_prime": 144, "c_prime": 106, "d_prime": -2}, "trace": '
+        '"b_prime": 14, "c_prime": 6, "d_prime": 8}, "trace": '
         '{"instance": [1, 2, 3, 4, 5, 19], "m_prime": 1, "k": 1, "x": 0, '
-        '"y": 0, "z": 1, "x_prime": 0, "y_prime": 10, "q_x": 0, "q_y": -10, '
-        '"a0": 1, "c0": 53, "u": 0, "a1": 1, "c1": 53, "v": 0, '
-        '"a_prime": 1, "c_prime": 53, "ell": -39, "r": 14, "s": -1}}'
+        '"y": 0, "z": 1, "x_prime": 0, "y_prime": 0, "q_x": 0, "q_y": 0, '
+        '"a0": 1, "c0": 3, "u": 0, "a1": 1, "c1": 3, "v": 0, '
+        '"a_prime": 1, "c_prime": 3, "ell": 1, "r": 1, "s": 0}}'
     ),
     ("progression", "1", "1", "1", "1", "2", "866"): (
         '{"status": "witness", "N0": 864, "witness": {"a_prime": 1, '
         '"b_prime": 1, "c_prime": 5, "d_prime": 173}}'
     ),
     ("progression", "1", "1", "1", "1", "2", "4"): (
-        '{"status": "below-threshold-failure", "N0": 864}'
+        '{"status": "witness", "N0": 864, "witness": {"a_prime": 1, '
+        '"b_prime": 1, "c_prime": 1, "d_prime": 3}}'
+    ),
+    # 11 is a member of P_3(8) with no one-sided decomposition at all
+    ("progression", "2", "2", "2", "2", "3", "11"): (
+        '{"status": "below-threshold-failure", "N0": 25868}'
     ),
     ("threshold", "1", "1", "1", "1", "2"): (
         '{"N0": 864, "a_hi": 9, "c_hi": 45, "instance": [1, 1, 1, 1, 2]}'
     ),
     ("subgroup", "2", "4", "6", "8", "10", "2"): (
-        '{"status": "witness", "w": 14, "x": 0, "y": -1, "z": 10, "t": 2}'
+        '{"status": "witness", "w": 1, "x": 0, "y": 0, "z": 0, "t": 2}'
     ),
     ("grid", "--m-max", "2", "--window", "4"): (
         '{"m_max": 2, "k_window": 4, "instances": 17, "values": 153, '

@@ -13,13 +13,13 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # its digest here, on purpose.
 DEMO_DIGESTS = {
     "pair_decomposition.py": (
-        "fa2ba864fe5188b7518f5edf20edf64f5543f3c75563573282fd0daa956d474b"
+        "cc59ffb880b180ec65d2e886ead84201558691d49777d6465c195e590e3d54d3"
     ),
     "strictness.py": (
         "ec881c7628ca59b0839d4d43513694f683499195b527a537651b72db7699b9bc"
     ),
     "subgroup_and_iterated.py": (
-        "69b265535b292273c79280f75500fa413d616d5ef12129f1f73a29e994079429"
+        "59b18895e362aef7436314ae3a969ea2d4279f2cbb2a9ceb9ba84443f502af4d"
     ),
     "thresholds_and_exceptions.py": (
         "f11f59660672aa8a40f8804641ea37cb5dff72d57df551f537122b546fe5d7ce"

@@ -1,8 +1,10 @@
 import itertools
 import math
+import time
 
 import pytest
 
+from sumprod import oracle
 from sumprod import (
     InternalInvariantError,
     IteratedSpec,
@@ -181,6 +183,27 @@ def test_iterated_member_search_refuses_non_integral(terms, m, n_target, bounds)
 def test_iterated_member_search_refuses_nonpositive_modulus(m):
     with pytest.raises(ValueError, match="modulus must be >= 1"):
         iterated_member_search(((1,), (2, 3)), m, 13, (3, 3))
+
+
+def test_iterated_member_search_refuses_over_budget_at_once(monkeypatch):
+    # ((1,), (1, 2, 3)) at bound 1000 would tabulate 2001**3 products; it is
+    # refused before the first table is built.  Bound 49 is the largest the
+    # 10**6-entry cap admits for this shape: 99 + 99**3 entries in the
+    # tables, and 99 more for combining all but the largest.
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^tabulated entries must be <= 10\*\*6"):
+        iterated_member_search(((1,), (1, 2, 3)), 5, 7, (1000, 1000))
+    assert time.perf_counter() - started < 0.1
+    with pytest.raises(ValueError, match="got 1030503$"):
+        iterated_member_search(((1,), (1, 2, 3)), 5, 7, (50, 50))
+    assert iterated_member_search(((1,), (1, 2, 3)), 5, 7, (1, 1))[0]
+    # Three pair terms at bound 4: 3 * 9**2 entries in the tables, and the
+    # two smaller ones combined, 9**2 * 9**2, count too.
+    monkeypatch.setattr(oracle, "_MAX_TABULATED", 6803)
+    with pytest.raises(ValueError, match="got 6804$"):
+        iterated_member_search(((1, 1), (1, 1), (1, 1)), 2, 3, (4, 4, 4))
+    monkeypatch.setattr(oracle, "_MAX_TABULATED", 6804)
+    assert iterated_member_search(((1, 1), (1, 1), (1, 1)), 2, 3, (4, 4, 4))[0]
 
 
 def test_pair_led_unsolvable_is_an_invariant_error(capsys, monkeypatch):

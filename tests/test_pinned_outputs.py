@@ -15,9 +15,9 @@ import random
 from sumprod import Instance, solve_progression
 from sumprod import witness
 
-DILATED_DIGEST = "e954f27e67a15506b6c2310fc80d0c6c97799fe507ef79fb6fd5b9a957899e78"
-PROGRESSION_DIGEST = "3faaaeead05971895229c87d643175d20ef9a10ef2b26fecc2b319a357b6d1dd"
-LARGE_MODULI_DIGEST = "fc857a852919eb8948eb6eee28b3fd173bce09be3c67cd649a6b3c9f807572c0"
+DILATED_DIGEST = "5a7a16d11ca8d53d77868218aa76af0e4effc1b91a4b42878d288e37e4dfa720"
+PROGRESSION_DIGEST = "24d554b5d287a45f129d0ef81e08c8af7d3d36857b215133192c484431a9f245"
+LARGE_MODULI_DIGEST = "dbd67e8f933edf005e1fcf83826456d1baa17e86ff257ea491b2cdc2eb5d7b29"
 
 
 def _digest(rows):

@@ -55,7 +55,8 @@ def test_pipeline_lift_matches_sylvester():
             top = min(threshold_N0(a, b, c, d, m).N0, 2000)
             for n_target in range(a * b + c * d + m, top + 1, m):
                 w, t = witness._solve_core(
-                    a, b, c, d, m, n_target, math.gcd(a, c, m), True, None
+                    a, b, c, d, m, n_target, math.gcd(a, c, m),
+                    witness._far_from(b, c, m), True, None,
                 )
                 rs = sylvester_nonneg(t.a_prime, t.c_prime, t.m_prime, t.ell)
                 assert (w.d_prime >= d) == (rs is not None), t
@@ -221,6 +222,24 @@ def test_trace_check_reported_by_name(name):
     assert f"'{name}'" in _violations(trace, **tampered)
 
 
+# ---------------------------------------------------------------- y' window
+
+@pytest.mark.parametrize(
+    "n_target, far", [(572, False), (576, True)], ids=["near", "far"]
+)
+def test_y_prime_window_is_chosen_by_target_size(n_target, far):
+    # Template (4, 2, 4, 3, 4): m' = 4, and the far window starts at N =
+    # m*c*(c + b*m*m) = 576.  The near window is [6, 9] and the far one
+    # [8, 11], so each one-outside y' below lies in the other window, and
+    # validate_trace still refuses it: it reads the window off the trace's N.
+    assert witness._far_from(2, 4, 4) == 576
+    _, trace = solve_class(Instance(4, 2, 4, 3, 4, n_target))
+    low = 8 if far else 6
+    assert trace.m_prime == 4 and low <= trace.y_prime <= low + 3
+    for y_prime in (low - 1, low + 4):
+        assert "'y_prime_window'" in _violations(trace, y_prime=y_prime)
+
+
 # ---------------------------------------------------------------- check halves
 
 def test_row_and_target_checks_partition_the_trace_checks():
@@ -271,8 +290,9 @@ def test_invariant_error_texts_pinned(monkeypatch):
     with pytest.raises(InternalInvariantError) as err:
         validate_trace(dataclasses.replace(trace, **_TAMPERS["m_prime"](trace)))
     assert str(err.value) == (
-        "trace invariants violated: ['m_prime', 'u_gcd', 'gcd_final', 'eq_B_y', "
-        "'congruence_mm', 'ell', 'lift']; trace=WitnessTrace(instance=Instance("
+        "trace invariants violated: ['m_prime', 'y_prime_window', 'u_gcd', "
+        "'gcd_final', 'eq_B_y', 'congruence_mm', 'ell', 'lift']; "
+        "trace=WitnessTrace(instance=Instance("
         "a=4, b=2, c=4, d=3, m=4, N=8), m_prime=8, k=-3, x=3, y=-3, z=0, "
         "x_prime=3, y_prime=9, q_x=0, q_y=-3, a0=16, c0=40, u=1, a1=28, c1=32, "
         "v=0, a_prime=28, c_prime=32, ell=-9, r=1, s=-2)"
@@ -427,8 +447,8 @@ def test_both_forms_of_a_target_check_reject_its_change(monkeypatch, name):
     # rejects the change, and its list that _target_checks rejects exactly
     # the checks the change breaks.
     a, b, c, d, m, n_target = 4, 2, 4, 3, 4, 8
-    m_p = math.gcd(a, c, m)
-    w, _ = witness._solve_core(a, b, c, d, m, n_target, m_p, False, None)
+    m_p, far_from = math.gcd(a, c, m), witness._far_from(b, c, m)
+    w, _ = witness._solve_core(a, b, c, d, m, n_target, m_p, far_from, False, None)
     assert m_p == 4 and verify_witness(Instance(a, b, c, d, m, n_target), w)
     where, change, broken = _TARGET_CHANGES[name]
     if where == "N":
@@ -439,7 +459,7 @@ def test_both_forms_of_a_target_check_reject_its_change(monkeypatch, name):
         _wrap_lift(monkeypatch, change)
     assert name in broken
     with pytest.raises(InternalInvariantError) as err:
-        witness._solve_core(a, b, c, d, m, n_target, m_p, False, None)
+        witness._solve_core(a, b, c, d, m, n_target, m_p, far_from, False, None)
     assert f"target invariants violated: {list(broken)};" in str(err.value)
 
 
@@ -634,8 +654,9 @@ def _plan_sample():
 
 
 # The sample's _solve(inst, True) results, hashed as in
-# tests/test_pinned_outputs.py, taken from the solver before it had plans.
-_PLAN_SAMPLE_DIGEST = "71a17af8fd292ce9a9349c6776cd2df3ed4dc4492d669faf21563d05a28f64f3"
+# tests/test_pinned_outputs.py.  Taken from the solver before it had plans,
+# and retaken when the y' window came to be chosen by target size.
+_PLAN_SAMPLE_DIGEST = "7aad3baa031ecfa8ffab3a76c2f62626da3477f9009cc944e288dde07337161b"
 
 
 def _solvers(inst):
