@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional
 
-from .witness import Instance, InternalInvariantError, _plan, _solve
+from .witness import _plan, _solve
 
 __all__ = [
     "IteratedSpec",
@@ -78,8 +78,9 @@ def solve_iterated(spec: IteratedSpec, N: int) -> IteratedResult:
     k1 = 1: absorb the residue into term 1, trailing terms at base values
     (the h > 2 case is the same by induction, all residue in front).
     k1 = k2 = 2 with gcd(a11, a12, a21, a22, m) = 1: pair-solve the first two
-    terms against N minus the frozen tail.  Anything else: unsupported-shape,
-    never a guess.
+    terms against N minus the frozen tail; the pair solve's own residue test
+    mod m is the verdict, and gcd is read off the pair's cached plan.
+    Anything else: unsupported-shape, never a guess.
     """
     # Lengths and base sum are read inline, not through shape() and
     # base_value(): a method call each is a large share of one solve.
@@ -95,17 +96,15 @@ def solve_iterated(spec: IteratedSpec, N: int) -> IteratedResult:
     if len(terms[0]) == len(terms[1]) == 2:
         a11, a12 = terms[0]
         a21, a22 = terms[1]
-        if math.gcd(a11, a12, a21, a22, m) != 1:
-            return IteratedResult(UNSUPPORTED_SHAPE, None)
-        if (N - base) % m != 0:
-            return IteratedResult(NOT_MEMBER, None)
-        tail = base - a11 * a12 - a21 * a22
         plan = _plan(a11, a12, a21, a22, m)
-        # The gcd above picks the shape, so _solve finds delta = 1 here.
-        got = _solve(a11, a12, a21, a22, m, N - tail, plan, False)
-        if got is None:  # the residue was checked above
-            inst = Instance(a11, a12, a21, a22, m, N - tail)
-            raise InternalInvariantError(f"pair-led target unsolvable: {inst!r}")
+        if plan[0] != 1:  # delta, gcd(a11, a12, a21, a22, m)
+            return IteratedResult(UNSUPPORTED_SHAPE, None)
+        # The pair's target is N minus the frozen tail, base - plan[2] (plan[2]
+        # is a11*a12 + a21*a22).  At delta = 1, _solve's residue test mod m
+        # is the whole verdict.
+        got = _solve(a11, a12, a21, a22, m, N - base + plan[2], plan, False)
+        if got is None:
+            return IteratedResult(NOT_MEMBER, None)
         w = got[0]
         values = (
             (w.a_prime, w.b_prime),

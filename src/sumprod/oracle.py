@@ -195,6 +195,11 @@ def _index_digits(x0: int, y0: int, m: int, top: int) -> bytearray:
     return buf
 
 
+# Member indices a progression scan may cover: oracle_member_progression's
+# digit table and exceptional_set's mask cost up to about 1 s at this size.
+_MAX_SCANNED = 10**6
+
+
 def oracle_member_progression(
     inst: Instance,
 ) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
@@ -205,12 +210,19 @@ def oracle_member_progression(
     lexicographically first nonnegative quadruple on success.
 
     Decided on member indices: N = ab + cd + m*t with t = u + v, where
-    (a+i*m)(b+j*m) = ab + m*u and (c+k*m)(d+l*m) = cd + m*v.
+    (a+i*m)(b+j*m) = ab + m*u and (c+k*m)(d+l*m) = cd + m*v.  The search
+    allocates one byte per index u <= t, and takes about 0.45 s at
+    t = 10**6 (CPython 3.11, 2-vCPU host).  A target with more than 10**6
+    member indices, (N - ab - cd) // m + 1, is refused with ValueError
+    before any work, whatever its residue.
     """
     a, b, c, d, m, n_target = inst.a, inst.b, inst.c, inst.d, inst.m, inst.N
     if min(a, b, c, d) < 1:
         raise ValueError("progression templates must be positive")
     t, r = divmod(n_target - a * b - c * d, m)
+    if t + 1 > _MAX_SCANNED:
+        # No count in the text: str() of a large enough one raises.
+        raise ValueError("member indices ((N - ab - cd) // m + 1) must be <= 10**6")
     if t < 0 or r:
         return False, None
     # Reversed, digit u says whether t - u is a right index; each left row
@@ -305,8 +317,9 @@ def iterated_member_search(
     complete only within those boxes.  A wrong residue class is refused
     outright: every decomposition reduces to the base value mod m, so no box
     can contain one.  A negative bound, an empty box, raises ValueError, as
-    does m < 1; a non-integral m, target, coefficient or bound raises
-    TypeError.
+    do m < 1, no terms and a term with no coefficients (IteratedSpec refuses
+    it too; it is not the empty product); a non-integral m, target,
+    coefficient or bound raises TypeError.
 
     The search tabulates (2*bound + 1)**k products for each term of k
     coefficients, then combines every table but the largest.  A search
@@ -320,6 +333,8 @@ def iterated_member_search(
     if index(m) < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
     index(n_target)
+    if not terms or not all(terms):
+        raise ValueError("need at least one term, each with a coefficient")
     for coefs in terms:
         for cf in coefs:
             index(cf)

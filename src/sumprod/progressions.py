@@ -59,11 +59,34 @@ class ProgressionResult:
     threshold: ThresholdReport
 
 
-# The last 64 templates' reports are kept: solve_progression reads one per
+# The last 64 templates' plans are kept: solve_progression reads one per
 # target.  A failed check raises, and lru_cache caches no raise, so the
 # template raises again on every call.  typed keeps True apart from 1, so the
 # shared (frozen) report holds the caller's own values.
 @functools.lru_cache(maxsize=64, typed=True)
+def _plan(
+    a: int, b: int, c: int, d: int, m: int
+) -> tuple[ThresholdReport, int, int, int]:
+    # The one-sided counterpart of witness._plan: the template's checks, then
+    # everything a target reads of the template alone, as given (a one-sided
+    # decomposition cannot move it): its ThresholdReport, ab + cd, m' and the
+    # far window's threshold.
+    if m < 1:
+        raise ValueError(f"modulus must be >= 1, got {m}")
+    if min(a, b, c, d) < 1:
+        raise ValueError("progression templates must be positive")
+    if math.gcd(a, b, c, d, m) != 1:
+        raise ValueError("gcd(a, b, c, d, m) must be 1")
+    a_hi, c_hi = _component_box(a, b, c, d, m)
+    n0 = a_hi * b + c_hi * d + m * a_hi * c_hi
+    return (
+        ThresholdReport(n0, a_hi, c_hi, (a, b, c, d, m)),
+        a * b + c * d,
+        math.gcd(a, c, m),
+        _far_from(b, c, m),
+    )
+
+
 def threshold_N0(a: int, b: int, c: int, d: int, m: int) -> ThresholdReport:
     """Exact integer evaluation of the representability threshold.
 
@@ -72,20 +95,12 @@ def threshold_N0(a: int, b: int, c: int, d: int, m: int) -> ThresholdReport:
     ValueError, the templates solve_progression refuses: a non-positive
     parameter, or gcd(a, b, c, d, m) = delta > 1, whose one-sided sums are
     delta^2 times the reduced template's and outgrow this N0's claim.
+
+    The report is the one solve_progression shares among a template's
+    targets: it is built once per template, and the last 64 templates'
+    are kept.
     """
-    _check_preconditions(a, b, c, d, m)
-    a_hi, c_hi = _component_box(a, b, c, d, m)
-    n0 = a_hi * b + c_hi * d + m * a_hi * c_hi
-    return ThresholdReport(n0, a_hi, c_hi, (a, b, c, d, m))
-
-
-def _check_preconditions(a: int, b: int, c: int, d: int, m: int) -> None:
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    if min(a, b, c, d) < 1:
-        raise ValueError("progression templates must be positive")
-    if math.gcd(a, b, c, d, m) != 1:
-        raise ValueError("gcd(a, b, c, d, m) must be 1")
+    return _plan(a, b, c, d, m)[0]
 
 
 def solve_progression(inst: Instance) -> ProgressionResult:
@@ -98,24 +113,20 @@ def solve_progression(inst: Instance) -> ProgressionResult:
     constructed (a', c') and the outcome is labelled below-threshold-failure
     rather than not-member.
 
-    The template's checks and its ThresholdReport are computed once per
-    template (the last 64 templates are kept) and shared by its results;
-    each target then costs one solve, which builds no WitnessTrace, and its
+    The template's checks, its ThresholdReport, ab + cd, m' and the far
+    window's threshold are computed once per template (the last 64
+    templates are kept), and its results share the report; each target then
+    costs one cache lookup, one solve, which builds no WitnessTrace, and its
     certificate check.
     """
     a, b, c, d, m, N = inst.a, inst.b, inst.c, inst.d, inst.m, inst.N
-    report = threshold_N0(a, b, c, d, m)
-    base = a * b + c * d
+    report, base, m_p, far_from = _plan(a, b, c, d, m)
     if N < base or (N - base) % m != 0:
         return ProgressionResult(NOT_MEMBER, None, report)
     if N == base:
         # Smallest member: the templates themselves already decompose it.
         return ProgressionResult(WITNESS, Witness(a, b, c, d), report)
-    # The one-sided proof cannot move the template, so m' and the window
-    # threshold are the template's as given.
-    w, _ = _solve_core(
-        a, b, c, d, m, N, math.gcd(a, c, m), _far_from(b, c, m), False, inst
-    )
+    w, _ = _solve_core(a, b, c, d, m, N, m_p, far_from, False, inst)
     if w.d_prime < d:
         if N >= report.N0:
             raise InternalInvariantError(
@@ -135,10 +146,6 @@ def solve_progression(inst: Instance) -> ProgressionResult:
     return ProgressionResult(WITNESS, w, report)
 
 
-# Members exceptional_set may scan: its mask costs up to about 1 s at this size.
-_MAX_SCANNED = 10**6
-
-
 def exceptional_set(
     a: int, b: int, c: int, d: int, m: int, cap: int
 ) -> list[int]:
@@ -152,12 +159,11 @@ def exceptional_set(
     and at most about 0.9 s at 10**6 (CPython 3.11, 2-vCPU host).  More
     than 10**6 members to scan (top + 1) is refused before any work.
     """
-    _check_preconditions(a, b, c, d, m)
-    base = a * b + c * d
+    base = _plan(a, b, c, d, m)[1]
     if cap < base:
         return []
     top = (cap - base) // m
-    if top + 1 > _MAX_SCANNED:
+    if top + 1 > _oracle._MAX_SCANNED:
         raise ValueError(
             f"members to scan ((cap - ab - cd) // m + 1) must be <= 10**6, "
             f"got {top + 1}"

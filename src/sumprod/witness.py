@@ -493,11 +493,12 @@ def solve_class(inst: Instance) -> Optional[tuple[Witness, WitnessTrace]]:
     the construction require (congruences are unaffected).
     """
     a, b, c, d, m = inst.a, inst.b, inst.c, inst.d, inst.m
-    if math.gcd(a, b, c, d, m) != 1:
+    plan = _plan(a, b, c, d, m)
+    if plan[0] != 1:  # delta
         raise ValueError(
             "gcd(a, b, c, d, m) != 1: use solve_dilated for the general case"
         )
-    got = _solve(a, b, c, d, m, inst.N, _plan(a, b, c, d, m), True, inst)
+    got = _solve(a, b, c, d, m, inst.N, plan, True, inst)
     return None if got is None else (got[0], got[2])
 
 
@@ -528,20 +529,20 @@ def subgroup_witness(
 ) -> Optional[SubgroupWitness]:
     """Quadruple (w, x, y, z) with a*w + b*x + c*y + d*z + m*(w*x + y*z) = t.
 
-    Exists iff delta = gcd(a, b, c, d, m) divides t.  Obtained by solving the
-    pair decomposition for N = ab + cd + m*t and unraveling
+    Exists iff delta = gcd(a, b, c, d, m) divides t, and is None otherwise.
+    Obtained by solving the pair decomposition for N = ab + cd + m*t, which
+    solve_dilated refuses exactly when delta does not divide t, and
+    unraveling
     (a + m*x)(b + m*w) + (c + m*z)(d + m*y) = ab + cd + m*(aw + bx + cy + dz
     + m*(wx + yz)).
     """
     # Instance refuses a non-integral value, t included, and m < 1.
     inst = Instance(a, b, c, d, m, a * b + c * d + m * t)
-    if t % inst.delta() != 0:
-        return None
     if t == 0:
         return SubgroupWitness(0, 0, 0, 0, 0)
     got = solve_dilated(inst)
     if got is None:
-        raise InternalInvariantError(f"subgroup target unreachable: t={t}, {inst!r}")
+        return None
     wit, _ = got
     sw = SubgroupWitness(
         w=(wit.b_prime - b) // m,

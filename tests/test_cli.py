@@ -375,6 +375,35 @@ def test_witness_longer_than_int_str_limit(capsys):
     assert sys.get_int_max_str_digits() == limit  # lifted only for the call
 
 
+@pytest.mark.parametrize("side", ["below", "at"])
+def test_both_y_prime_windows_round_trip_on_a_5000_digit_modulus(capsys, side):
+    # witness, then check, on (3, 5, 2, 2) mod 10**4999 + 7, at the largest
+    # member below the far window's threshold m*c*(c + b*m*m) and at the
+    # smallest member at or above it.  The near window leaves c' = c; the
+    # far one makes c' about b*m*m.
+    a, b, c, d, m = 3, 5, 2, 2, 10**4999 + 7
+    far_from = m * c * (c + b * m * m)
+    n_target = far_from + (a * b + c * d - far_from) % m
+    if side == "below":
+        n_target -= m
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    set_limit(0)  # for this test's own str() of the operands
+    try:
+        operands = [str(x) for x in (a, b, c, d, m, n_target)]
+    finally:
+        set_limit(limit)
+    code, out, _ = run_cap(capsys, ["witness", *operands])
+    assert code == 0
+    fields = dict(tok.split("=") for tok in out.splitlines()[1].split())
+    assert len(fields["c'"]) == (1 if side == "below" else 9999)
+    code, out, _ = run_cap(
+        capsys,
+        ["check", *operands, fields["a'"], fields["b'"], fields["c'"], fields["d'"]],
+    )
+    assert code == 0 and out == "valid\n"
+
+
 def test_big_integer_arguments(capsys):
     code, out, _ = run_cap(
         capsys,

@@ -6,13 +6,11 @@ import pytest
 
 from sumprod import oracle
 from sumprod import (
-    InternalInvariantError,
     IteratedSpec,
     iterated_member_search,
     solve_iterated,
     verify_iterated,
 )
-from sumprod.cli import run
 
 
 def test_absorb_examples():
@@ -185,6 +183,18 @@ def test_iterated_member_search_refuses_nonpositive_modulus(m):
         iterated_member_search(((1,), (2, 3)), m, 13, (3, 3))
 
 
+@pytest.mark.parametrize(
+    "terms, n_target, bounds",
+    [((), 0, ()), (((),), 1, (3,))],
+    ids=["no-terms", "empty-term"],
+)
+def test_iterated_member_search_refuses_empty_shapes(terms, n_target, bounds):
+    # no terms once raised IndexError, and a term with no coefficients was
+    # read as the empty product 1; both are refused before any table is built
+    with pytest.raises(ValueError, match="^need at least one term, each with a"):
+        iterated_member_search(terms, 1, n_target, bounds)
+
+
 def test_iterated_member_search_refuses_over_budget_at_once(monkeypatch):
     # ((1,), (1, 2, 3)) at bound 1000 would tabulate 2001**3 products; it is
     # refused before the first table is built.  Bound 49 is the largest the
@@ -204,17 +214,3 @@ def test_iterated_member_search_refuses_over_budget_at_once(monkeypatch):
         iterated_member_search(((1, 1), (1, 1), (1, 1)), 2, 3, (4, 4, 4))
     monkeypatch.setattr(oracle, "_MAX_TABULATED", 6804)
     assert iterated_member_search(((1, 1), (1, 1), (1, 1)), 2, 3, (4, 4, 4))[0]
-
-
-def test_pair_led_unsolvable_is_an_invariant_error(capsys, monkeypatch):
-    # The residue check guarantees the pair solver a result; if it ever
-    # returned None, that is a bug, reported like every other invariant.
-    monkeypatch.setattr("sumprod.iterated._solve", lambda *args, **kw: None)
-    spec = IteratedSpec(5, ((1, 2), (3, 4)))
-    with pytest.raises(InternalInvariantError, match="pair-led"):
-        solve_iterated(spec, 19)
-    assert run(["iterate", "5", "19", "2:1,2", "2:3,4"]) == 3
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith("internal invariant violation: ")
-    assert out.err.count("\n") == 1 and out.err.endswith("\n")

@@ -183,6 +183,18 @@ def test_progression_oracle_examples():
     assert not oracle_member_progression(Instance(1, 1, 1, 1, 2, -6))[0]
 
 
+def test_progression_oracle_scan_budget():
+    # 10**6 member indices are scanned; one more, or a 5,000-digit target,
+    # is refused before the digit table is allocated
+    assert oracle_member_progression(Instance(1, 1, 1, 1, 1, 2 + 10**6 - 1))[0]
+    with pytest.raises(ValueError, match=r"must be <= 10\*\*6$"):
+        oracle_member_progression(Instance(1, 1, 1, 1, 1, 2 + 10**6))
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=r"must be <= 10\*\*6$"):
+        oracle_member_progression(Instance(2, 2, 2, 2, 2, 8 + 2 * 10**4999))
+    assert time.perf_counter() - started < 0.1
+
+
 def _in_progression_product(x0, y0, m, n):
     # n ∈ P_m(x0)·P_m(y0) by divisor enumeration: some divisor x of n lies in
     # P_m(x0) and its cofactor n // x in P_m(y0).

@@ -4,6 +4,7 @@ import math
 import pytest
 
 import sumprod.oracle
+from sumprod import progressions
 from sumprod import (
     Instance,
     exceptional_set,
@@ -94,20 +95,20 @@ def test_solve_progression_rejects_bad_inputs():
 
 
 def test_template_checked_and_sized_once():
-    threshold_N0.cache_clear()
+    progressions._plan.cache_clear()
     a, b, c, d, m = 1, 2, 2, 1, 3
     reports = [
         solve_progression(Instance(a, b, c, d, m, a * b + c * d + m * t)).threshold
         for t in range(200)
     ]
-    info = threshold_N0.cache_info()
+    info = progressions._plan.cache_info()
     assert (info.misses, info.hits) == (1, 199)
     assert all(rep is reports[0] for rep in reports)
 
 
 def test_failing_template_raises_on_every_call():
     # a raise is not cached, so the checks stand on each call
-    threshold_N0.cache_clear()
+    progressions._plan.cache_clear()
     for _ in range(2):
         with pytest.raises(ValueError, match="gcd"):
             solve_progression(Instance(2, 2, 2, 2, 2, 10))

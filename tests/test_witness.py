@@ -11,7 +11,7 @@ import pytest
 import sumprod.cli
 import sumprod.iterated
 import sumprod.oracle
-from sumprod import witness
+from sumprod import progressions, witness
 from sumprod.classes import CongruenceClass, product_class_contains
 from sumprod import (
     Instance,
@@ -543,7 +543,7 @@ def test_non_integral_values_refused_cold_and_warm(entry):
     primes, refused = _NON_INTEGRAL[entry]
     witness._plan.cache_clear()
     witness._row.cache_clear()
-    threshold_N0.cache_clear()
+    progressions._plan.cache_clear()
     for call in refused:
         with pytest.raises(TypeError):
             call()
