@@ -31,10 +31,17 @@ class CongruenceClass:
         object.__setattr__(self, "a", operator.index(self.a) % self.m)
 
     def contains(self, n: int) -> bool:
-        return (n - self.a) % self.m == 0
+        # A float is refused, as in __post_init__: a large one is rounded,
+        # so the test would answer for a nearby integer.
+        return (operator.index(n) - self.a) % self.m == 0
 
     def __repr__(self) -> str:
         return f"R_{self.m}({self.a})"
+
+
+# The largest |n| product_class_contains takes: sqrt(10**12) = 10**6 trial
+# divisions, a fraction of a second.
+_MAX_N = 10**12
 
 
 def _positive_divisors(n: int) -> list[int]:
@@ -58,8 +65,13 @@ def product_class_contains(
     Both signs of every divisor of |n| are tried, since class members range
     over all of Z.  For n = 0 the convention is: 0 is in the product set iff
     0 itself lies in one of the two classes (then 0 = 0*y for any y).
+
+    The divisors come from trial division up to sqrt(|n|), so |n| > 10**12
+    (more than 10**6 trial divisions) is refused with ValueError before any
+    work.
     """
-    operator.index(n)  # a non-integral n is refused, as in CongruenceClass
+    if abs(operator.index(n)) > _MAX_N:  # a non-integral n raises TypeError
+        raise ValueError("|n| must be <= 10**12")
     if c1.m != c2.m:
         raise ValueError("classes must share a modulus")
     m = c1.m

@@ -10,6 +10,7 @@ deterministic, and never touches floating point.
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import Optional
 
 __all__ = [
@@ -44,7 +45,10 @@ def sylvester_nonneg(
     Guaranteed to succeed for ell >= (a/mp - 1)(c/mp - 1); below that bound
     the answer is still exact (a solution is returned iff one exists).  The
     returned r is the smallest admissible one, which keeps output stable.
+    A non-integral argument raises TypeError.
     """
+    for v in (a, c, mp, ell):
+        index(v)
     if a < 1 or c < 1 or mp < 1:
         raise ValueError("a, c, mp must be positive")
     if math.gcd(a, c) != mp:

@@ -115,7 +115,15 @@ def solve_iterated(spec: IteratedSpec, N: int) -> IteratedResult:
 
 
 def verify_iterated(spec: IteratedSpec, wit: IteratedWitness, N: int) -> bool:
-    """Certificate check: shape match, componentwise congruence, exact sum."""
+    """Certificate check: shape match, componentwise congruence, exact sum.
+
+    A non-integral value or N raises TypeError, as at IteratedSpec: a
+    float's rounded products can sum to N when the exact ones do not.
+    """
+    operator.index(N)
+    for t in wit.values:
+        for x in t:
+            operator.index(x)
     if len(wit.values) != len(spec.terms):
         return False
     for got, want in zip(wit.values, spec.terms):

@@ -17,10 +17,9 @@ from .witness import (
     Instance,
     InternalInvariantError,
     Witness,
-    _certificate_ok,
     _component_box,
-    _far_from,
-    _solve_core,
+    _plan_as_given,
+    _solve,
 )
 from . import oracle as _oracle
 
@@ -64,13 +63,10 @@ class ProgressionResult:
 # template raises again on every call.  typed keeps True apart from 1, so the
 # shared (frozen) report holds the caller's own values.
 @functools.lru_cache(maxsize=64, typed=True)
-def _plan(
-    a: int, b: int, c: int, d: int, m: int
-) -> tuple[ThresholdReport, int, int, int]:
-    # The one-sided counterpart of witness._plan: the template's checks, then
-    # everything a target reads of the template alone, as given (a one-sided
-    # decomposition cannot move it): its ThresholdReport, ab + cd, m' and the
-    # far window's threshold.
+def _plan(a: int, b: int, c: int, d: int, m: int) -> tuple[ThresholdReport, tuple]:
+    # The template's checks, then its ThresholdReport and the witness plan
+    # that runs the construction on the template as given (a one-sided
+    # decomposition cannot move it).
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
     if min(a, b, c, d) < 1:
@@ -81,9 +77,7 @@ def _plan(
     n0 = a_hi * b + c_hi * d + m * a_hi * c_hi
     return (
         ThresholdReport(n0, a_hi, c_hi, (a, b, c, d, m)),
-        a * b + c * d,
-        math.gcd(a, c, m),
-        _far_from(b, c, m),
+        _plan_as_given(a, b, c, d, m),
     )
 
 
@@ -113,20 +107,25 @@ def solve_progression(inst: Instance) -> ProgressionResult:
     constructed (a', c') and the outcome is labelled below-threshold-failure
     rather than not-member.
 
-    The template's checks, its ThresholdReport, ab + cd, m' and the far
-    window's threshold are computed once per template (the last 64
-    templates are kept), and its results share the report; each target then
-    costs one cache lookup, one solve, which builds no WitnessTrace, and its
-    certificate check.
+    The pair theorem's construction runs here on the template as given, with
+    no division by delta and no move to representatives: the same _solve,
+    with the same target checks and certificate check, on a plan built by
+    witness._plan_as_given.  The template's checks, its ThresholdReport and
+    that plan are computed once per template (the last 64 templates are
+    kept), and its results share the report; each target then costs one
+    cache lookup and one solve, which builds no WitnessTrace.
     """
     a, b, c, d, m, N = inst.a, inst.b, inst.c, inst.d, inst.m, inst.N
-    report, base, m_p, far_from = _plan(a, b, c, d, m)
+    report, plan = _plan(a, b, c, d, m)
+    base = plan[2]
+    # A target below ab + cd is no member, yet the pair theorem would solve
+    # it, so membership is decided here, before the N = ab + cd shortcut.
     if N < base or (N - base) % m != 0:
         return ProgressionResult(NOT_MEMBER, None, report)
     if N == base:
         # Smallest member: the templates themselves already decompose it.
         return ProgressionResult(WITNESS, Witness(a, b, c, d), report)
-    w, _ = _solve_core(a, b, c, d, m, N, m_p, far_from, False, inst)
+    w = _solve(a, b, c, d, m, N, plan, False, inst)[0]
     if w.d_prime < d:
         if N >= report.N0:
             raise InternalInvariantError(
@@ -134,8 +133,7 @@ def solve_progression(inst: Instance) -> ProgressionResult:
             )
         return ProgressionResult(BELOW_THRESHOLD_FAILURE, None, report)
     if not (
-        _certificate_ok(a, b, c, d, m, N, w)
-        and w.a_prime >= a
+        w.a_prime >= a
         and w.b_prime >= b
         and w.c_prime >= c
         and w.d_prime >= d
@@ -159,15 +157,13 @@ def exceptional_set(
     and at most about 0.9 s at 10**6 (CPython 3.11, 2-vCPU host).  More
     than 10**6 members to scan (top + 1) is refused before any work.
     """
-    base = _plan(a, b, c, d, m)[1]
+    base = _plan(a, b, c, d, m)[1][2]  # ab + cd
     if cap < base:
         return []
     top = (cap - base) // m
     if top + 1 > _oracle._MAX_SCANNED:
-        raise ValueError(
-            f"members to scan ((cap - ab - cd) // m + 1) must be <= 10**6, "
-            f"got {top + 1}"
-        )
+        # No count in the text: str() of a count past 4300 digits raises.
+        raise ValueError("members to scan ((cap - ab - cd) // m + 1) must be <= 10**6")
     # Bit t of the folded mask is member base + m*t; read the bits once.
     bits = format(_oracle._folded_sums_mask(a, b, c, d, m, top), "b")
     bits = bits.zfill(top + 1)[::-1]

@@ -20,16 +20,20 @@ are checked once, when the row is built; those that involve the target, and
 the certificate itself, are checked on every solve.  A violation is a bug,
 never an input condition, and raises InternalInvariantError naming the check.
 
-Every pair solve takes one path, _solve, on the caller's plain ints: divide
-a, b, c, d and m by delta = gcd(a, b, c, d, m), run the pipeline on the
-templates' representatives in [1, m/delta] and N/delta^2, multiply the
-witness by delta, and check that one certificate against the caller's
-values.  What depends on the template alone (delta and delta*m, ab + cd, the
-representatives and m/delta, m', whether the instance moves and the far
-window's threshold) is the template's plan, built once and kept for the last
-64 templates; rows are kept for the last 64 rows.  The caller reads the plan
-and hands it to _solve, so the grid sweep reads it once for all of a
-template's targets.  A target whose plan and row are cached costs the plan
+Every solve, of the pair theorem and of the one-sided one, is one function,
+_solve, on the caller's plain ints: the residue test mod delta*m, N/delta^2,
+the row, the lift and its 8 target checks, one witness scaled by delta, and
+one certificate check against the caller's values.  It runs on a plan, what
+depends on the template alone (delta and delta*m, ab + cd, the template the
+pipeline runs on and its modulus, m', whether that template differs from the
+caller's, and the far window's threshold).  The pair theorem's plan, _plan,
+divides by delta = gcd(a, b, c, d, m) and moves to the representatives in
+[1, m/delta]; it is built once and kept for the last 64 templates.  The
+one-sided theorem's plan, _plan_as_given, keeps the template as given,
+which a one-sided decomposition cannot move; progressions keeps it with the
+template's threshold.  Rows are kept for the last 64 rows.  The caller reads
+the plan and hands it to _solve, so the grid sweep reads it once for all of
+a template's targets.  A target whose plan and row are cached costs the plan
 lookup, the row lookup, the residue test, the lift, the 8 target checks and
 one certificate check.  Only solve_class and the CLI's witness --trace
 return the trace, so only they build one, and an Instance is built only for
@@ -118,12 +122,14 @@ class SubgroupWitness:
     t: int
 
     def evaluate(self, a: int, b: int, c: int, d: int, m: int) -> int:
+        # operator.index refuses a float, whose rounded sum can hit t.
+        w, x, y, z = index(self.w), index(self.x), index(self.y), index(self.z)
         return (
-            a * self.w
-            + b * self.x
-            + c * self.y
-            + d * self.z
-            + m * (self.w * self.x + self.y * self.z)
+            index(a) * w
+            + index(b) * x
+            + index(c) * y
+            + index(d) * z
+            + index(m) * (w * x + y * z)
         )
 
 
@@ -170,7 +176,13 @@ def _certificate_ok(a: int, b: int, c: int, d: int, m: int, N: int, w: Witness) 
 
 
 def verify_witness(inst: Instance, w: Witness) -> bool:
-    """Pure-arithmetic certificate check: four congruences plus the exact sum."""
+    """Pure-arithmetic certificate check: four congruences plus the exact sum.
+
+    A non-integral component raises TypeError, as Instance does: a float's
+    rounded products can sum to N when the exact ones do not.
+    """
+    for v in (w.a_prime, w.b_prime, w.c_prime, w.d_prime):
+        index(v)
     return _certificate_ok(inst.a, inst.b, inst.c, inst.d, inst.m, inst.N, w)
 
 
@@ -244,8 +256,8 @@ def _target_checks(
     a_p: int, c_p: int, ell: int, r: int, s: int,
 ) -> list[str]:
     # The names of the failed invariants that involve the target, in
-    # evaluation order.  _solve_core writes the same checks out as one
-    # conjunction and calls this only to name a failure.
+    # evaluation order.  _solve, which runs every solve, writes the same
+    # checks out as one conjunction and calls this only to name a failure.
     mmp = m * mp
     rem = N - (a_p * b + c_p * d)
     failed = []
@@ -364,58 +376,6 @@ def _row(
     )
 
 
-def _solve_core(
-    a: int, b: int, c: int, d: int, m: int, N: int, m_p: int, far_from: int,
-    traced: bool, inst: Optional[Instance],
-) -> tuple[Witness, Optional[WitnessTrace]]:
-    # Pre: a, b, c, d >= 1, gcd(a, b, c, d, m) = 1, N ≡ ab + cd (mod m),
-    # m_p = gcd(a, c, m) and far_from = _far_from(b, c, m).  inst is
-    # Instance(a, b, c, d, m, N) when the caller holds one, else None; it is
-    # built only for a returned trace or an error.  The witness is integral;
-    # the one-sided caller checks d' >= d itself.
-    base = a * b + c * d
-    k = (N - base) // m
-    (x1, y1, z1), (x_p, y_p), steps, (big_a, big_c, inv) = _row(
-        a, b, c, d, m, k % m_p, N >= far_from
-    )
-    x, y, z = k * x1, k * y1, k * z1
-    q_x, q_y = (x - x_p) // m_p, (y - y_p) // m_p
-    a_p, c_p = steps[6], steps[7]
-    # The lift of (b, d): b' = b + m*r, d' = d + m*s with the least r >= 0,
-    # which leaves the largest s.
-    mmp = m * m_p
-    rem = N - (a_p * b + c_p * d)
-    ell = rem // mmp
-    r, s = _least_r_lift(big_a, big_c, inv, ell)
-    # _row checked the row half.  The target half runs on every solve: the
-    # checks of _target_checks, in order, written out so that a passing
-    # solve makes no call.  The tests pin the two copies to each other.
-    if not (
-        N == base + k * m
-        and b * x + d * y + m_p * z == k
-        and x == q_x * m_p + x_p
-        and y == q_y * m_p + y_p
-        and rem % mmp == 0
-        and ell * mmp == rem
-        and a_p * r + c_p * s == ell * m_p
-        and 0 <= r < c_p // m_p
-    ):
-        failed = _target_checks(
-            a, b, c, d, m, N, m_p, k, x, y, z, x_p, y_p, q_x, q_y, a_p, c_p, ell, r, s
-        )
-        raise InternalInvariantError(
-            f"target invariants violated: {failed}; "
-            f"{inst if inst is not None else Instance(a, b, c, d, m, N)!r}"
-        )
-    trace = None
-    if traced:
-        trace = WitnessTrace(
-            inst if inst is not None else Instance(a, b, c, d, m, N),
-            m_p, k, x, y, z, x_p, y_p, q_x, q_y, *steps, ell, r, s,
-        )
-    return Witness(a_p, b + m * r, c_p, d + m * s), trace
-
-
 # Templates _plan keeps at once.  Callers visit a template's targets back to
 # back, so a small cache is reused.
 _PLAN_CACHE_SIZE = 64
@@ -443,18 +403,34 @@ def _plan(
     )
 
 
+def _plan_as_given(
+    a: int, b: int, c: int, d: int, m: int
+) -> tuple[int, int, int, int, int, int, int, int, int, bool, int]:
+    # A plan in _plan's layout that runs the construction on the template as
+    # given: delta = 1, step m, the template in place of the
+    # representatives, and not moved.  The one-sided theorem needs this: a
+    # one-sided decomposition cannot move its template.  Pre: a, b, c, d >= 1
+    # and gcd(a, b, c, d, m) = 1.
+    return (
+        1, m, a * b + c * d, a, b, c, d, m, math.gcd(a, c, m), False,
+        _far_from(b, c, m),
+    )
+
+
 def _solve(
     a: int, b: int, c: int, d: int, m: int, N: int,
     plan: tuple[int, int, int, int, int, int, int, int, int, bool, int],
     traced: bool, inst: Optional[Instance] = None,
 ) -> Optional[tuple[Witness, int, Optional[WitnessTrace]]]:
-    # The dilated theorem in one move, for every pair solve: divide a, b, c,
-    # d, m by delta, solve the coprime instance on the templates'
-    # representatives, and scale the witness back.  plan is _plan(a, b, c,
-    # d, m), read by the caller, so a caller with many targets of one
-    # template reads it once.  inst is Instance(a, b, c, d, m, N) when the
-    # caller holds one, else None; it is built only for a returned trace or
-    # an error message.
+    # The whole construction, for every solve: divide a, b, c, d and m by
+    # delta and N by delta^2, run the pipeline on the plan's template (the
+    # representatives, or the template as given), and scale the witness
+    # back.  plan is
+    # _plan(a, b, c, d, m) or _plan_as_given(a, b, c, d, m), read by the
+    # caller, so a caller with many targets of one template reads it once.
+    # inst is Instance(a, b, c, d, m, N) when the caller holds one, else
+    # None; an Instance is built only for a returned trace or an error
+    # message, and names the instance the pipeline ran on.
     delta, dm, base, ra, rb, rc, rd, rm, m_p, moved, far_from = plan
     if (N - base) % dm != 0:
         return None
@@ -467,13 +443,47 @@ def _solve(
                 inst = Instance(a, b, c, d, m, N)
             raise InternalInvariantError(f"N not divisible by delta^2 for {inst!r}")
         rN //= delta * delta
-    w, trace = _solve_core(
-        ra, rb, rc, rd, rm, rN, m_p, far_from, traced, None if moved else inst
+    rbase = ra * rb + rc * rd
+    k = (rN - rbase) // rm
+    (x1, y1, z1), (x_p, y_p), steps, (big_a, big_c, inv) = _row(
+        ra, rb, rc, rd, rm, k % m_p, rN >= far_from
     )
-    if delta != 1:
-        w = Witness(
-            delta * w.a_prime, delta * w.b_prime, delta * w.c_prime, delta * w.d_prime
+    x, y, z = k * x1, k * y1, k * z1
+    q_x, q_y = (x - x_p) // m_p, (y - y_p) // m_p
+    a_p, c_p = steps[6], steps[7]
+    # The lift of (b, d): b' = b + m*r, d' = d + m*s with the least r >= 0,
+    # which leaves the largest s.
+    mmp = rm * m_p
+    rem = rN - (a_p * rb + c_p * rd)
+    ell = rem // mmp
+    r, s = _least_r_lift(big_a, big_c, inv, ell)
+    # _row checked the row half.  The target half runs on every solve: the
+    # checks of _target_checks, in order, written out so that a passing
+    # solve makes no call.  The tests pin the two copies to each other.
+    if not (
+        rN == rbase + k * rm
+        and rb * x + rd * y + m_p * z == k
+        and x == q_x * m_p + x_p
+        and y == q_y * m_p + y_p
+        and rem % mmp == 0
+        and ell * mmp == rem
+        and a_p * r + c_p * s == ell * m_p
+        and 0 <= r < c_p // m_p
+    ):
+        failed = _target_checks(
+            ra, rb, rc, rd, rm, rN, m_p, k, x, y, z, x_p, y_p, q_x, q_y,
+            a_p, c_p, ell, r, s,
         )
+        if inst is None or moved:
+            inst = Instance(ra, rb, rc, rd, rm, rN)
+        raise InternalInvariantError(f"target invariants violated: {failed}; {inst!r}")
+    trace = WitnessTrace(
+        Instance(ra, rb, rc, rd, rm, rN) if inst is None or moved else inst,
+        m_p, k, x, y, z, x_p, y_p, q_x, q_y, *steps, ell, r, s,
+    ) if traced else None
+    w = Witness(
+        delta * a_p, delta * (rb + rm * r), delta * c_p, delta * (rd + rm * s)
+    )
     # x ≡ a/delta (mod m/delta) exactly when delta*x ≡ a (mod m), and the sum
     # scales by delta^2, so this one check on the caller's values covers the
     # reduced solve.
@@ -510,9 +520,11 @@ def solve_dilated(inst: Instance) -> Optional[tuple[Witness, int]]:
     witness and delta.  The witness satisfies the congruences for the
     original modulus m and is verified once, against inst itself.
 
-    The template's own work (delta, the reduced representatives, m', the
-    far window's threshold) is done once per template and kept for the last
-    64 templates, and the pipeline up to the lift once per (template,
+    This runs the same construction as solve_class and solve_progression,
+    on the plan that divides by delta and moves to representatives.  The
+    template's own work (delta, the reduced representatives, m', the far
+    window's threshold) is done once per template and kept for the last 64
+    templates, and the pipeline up to the lift once per (template,
     k mod m', y' window) row, kept for the last 64 rows.  A target of a
     cached template and row then pays the residue test, the lift, the 8
     target checks and one certificate check.

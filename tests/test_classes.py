@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +26,17 @@ def test_product_class_strictness_53():
         CongruenceClass(3, 19), CongruenceClass(5, 19), 53
     )
     assert not ok and pair is None
+
+
+def test_product_class_contains_refuses_n_over_its_budget():
+    # 10**12 is the last |n| taken; 10**40 would take years of trial division
+    r3, r5 = CongruenceClass(3, 19), CongruenceClass(5, 19)
+    assert product_class_contains(r3, r5, -(10**12)) == (False, None)
+    start = time.perf_counter()
+    for n in (10**12 + 1, 10**40, -(10**40)):
+        with pytest.raises(ValueError, match=r"^\|n\| must be <= 10\*\*12$"):
+            product_class_contains(r3, r5, n)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_product_class_examples():

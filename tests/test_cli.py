@@ -234,8 +234,7 @@ def test_exceptions_refuses_cap_over_budget(capsys):
     assert time.perf_counter() - start < 0.5
     assert code == 2 and out == ""
     assert err == (
-        "error: members to scan ((cap - ab - cd) // m + 1) must be <= 10**6, "
-        "got 1999999\n"
+        "error: members to scan ((cap - ab - cd) // m + 1) must be <= 10**6\n"
     )
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 
@@ -206,5 +207,16 @@ def test_exceptional_set_scan_budget(monkeypatch):
         raise AssertionError("mask built for a refused cap")
 
     monkeypatch.setattr(sumprod.oracle, "_folded_sums_mask", refused)
-    with pytest.raises(ValueError, match=r"must be <= 10\*\*6, got 1000001"):
+    with pytest.raises(ValueError, match=r"must be <= 10\*\*6$"):
         exceptional_set(1, 1, 2, 2, m, at_budget + m)
+
+
+def test_exceptional_set_refuses_a_5000_digit_cap_by_its_budget_text():
+    # the text holds no count, whose str() past 4300 digits would raise
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        exceptional_set(1, 1, 1, 1, 1, 10**5000)
+    assert time.perf_counter() - start < 0.1
+    assert str(err.value) == (
+        "members to scan ((cap - ab - cd) // m + 1) must be <= 10**6"
+    )

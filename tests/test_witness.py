@@ -17,7 +17,9 @@ from sumprod import (
     Instance,
     InternalInvariantError,
     IteratedSpec,
+    IteratedWitness,
     SearchBox,
+    SubgroupWitness,
     Witness,
     WitnessTrace,
     oracle_member_class,
@@ -29,6 +31,7 @@ from sumprod import (
     sylvester_nonneg,
     threshold_N0,
     validate_trace,
+    verify_iterated,
     verify_witness,
 )
 
@@ -54,9 +57,9 @@ def test_pipeline_lift_matches_sylvester():
                 continue
             top = min(threshold_N0(a, b, c, d, m).N0, 2000)
             for n_target in range(a * b + c * d + m, top + 1, m):
-                w, t = witness._solve_core(
-                    a, b, c, d, m, n_target, math.gcd(a, c, m),
-                    witness._far_from(b, c, m), True, None,
+                w, _, t = witness._solve(
+                    a, b, c, d, m, n_target,
+                    witness._plan_as_given(a, b, c, d, m), True,
                 )
                 rs = sylvester_nonneg(t.a_prime, t.c_prime, t.m_prime, t.ell)
                 assert (w.d_prime >= d) == (rs is not None), t
@@ -410,7 +413,7 @@ def test_eq_A_fires_by_name_on_a_warm_plan(monkeypatch):
     assert witness._plan.cache_info().misses == plans.misses
 
 
-# One change to _solve_core's inputs per target check, on the template
+# One change to _solve's inputs per target check, on the template
 # (4, 2, 4, 3, 4) at N = 8, where m' = 4: the target, one group of the row,
 # or the lift; and the checks it breaks.  A target off its residue class
 # also leaves a remainder that m*m' does not divide, and congruence_mm and
@@ -441,14 +444,17 @@ def test_every_target_check_has_a_change():
 
 @pytest.mark.parametrize("name", _TARGET_CHECKS)
 def test_both_forms_of_a_target_check_reject_its_change(monkeypatch, name):
-    # _solve_core evaluates the target checks as one conjunction and, only
-    # when it fails, names the failures with _target_checks, which
-    # validate_trace also uses.  The raise shows that the conjunction
-    # rejects the change, and its list that _target_checks rejects exactly
-    # the checks the change breaks.
+    # _solve evaluates the target checks as one conjunction and, only when
+    # it fails, names the failures with _target_checks, which validate_trace
+    # also uses.  The raise shows that the conjunction rejects the change,
+    # and its list that _target_checks rejects exactly the checks the change
+    # breaks.  The plan's step is 1, so every target clears the residue test
+    # and reaches the target checks, an off-residue one included.
     a, b, c, d, m, n_target = 4, 2, 4, 3, 4, 8
-    m_p, far_from = math.gcd(a, c, m), witness._far_from(b, c, m)
-    w, _ = witness._solve_core(a, b, c, d, m, n_target, m_p, far_from, False, None)
+    plan = witness._plan_as_given(a, b, c, d, m)
+    plan = plan[:1] + (1,) + plan[2:]
+    m_p = plan[8]
+    w, _, _ = witness._solve(a, b, c, d, m, n_target, plan, False)
     assert m_p == 4 and verify_witness(Instance(a, b, c, d, m, n_target), w)
     where, change, broken = _TARGET_CHANGES[name]
     if where == "N":
@@ -459,7 +465,7 @@ def test_both_forms_of_a_target_check_reject_its_change(monkeypatch, name):
         _wrap_lift(monkeypatch, change)
     assert name in broken
     with pytest.raises(InternalInvariantError) as err:
-        witness._solve_core(a, b, c, d, m, n_target, m_p, far_from, False, None)
+        witness._solve(a, b, c, d, m, n_target, plan, False)
     assert f"target invariants violated: {list(broken)};" in str(err.value)
 
 
@@ -484,6 +490,9 @@ def test_instance_dataclass_contract():
 
 
 R3_19, R5_19 = CongruenceClass(3, 19), CongruenceClass(5, 19)
+_X, _N = 2**30 + 1, 2**60 + 2**31
+_ONE_MOD_1 = Instance(1, 1, 1, 1, 1, _N)
+_ONES_MOD_1 = IteratedSpec(1, ((1, 1), (1, 1)))
 
 # Per entry point: integer calls that warm the plan, row and threshold
 # caches, and non-integral calls that must raise TypeError cold and warm.
@@ -533,6 +542,31 @@ _NON_INTEGRAL = {
     "product_class_contains": (
         [lambda: product_class_contains(R3_19, R5_19, 15)],
         [lambda: product_class_contains(R3_19, R5_19, 15.0)],
+    ),
+    # The certificate checks.  Unrefused, the first three floats pass as
+    # certificates: (2**30 + 1)**2 = _N + 1, and the float product rounds it
+    # to _N.  sylvester_nonneg would answer (0.0, 1.0) for 3r + 5s = 7.5.
+    "verify_witness": (
+        [lambda: verify_witness(_ONE_MOD_1, Witness(_X, _X, 0, 5))],
+        [lambda: verify_witness(_ONE_MOD_1, Witness(float(_X), float(_X), 0.0, 5.0))],
+    ),
+    "verify_iterated": (
+        [lambda: verify_iterated(_ONES_MOD_1, IteratedWitness(((_X, _X), (0, 5))), _N)],
+        [lambda: verify_iterated(
+            _ONES_MOD_1, IteratedWitness(((float(_X), float(_X)), (0.0, 5.0))), _N
+        )],
+    ),
+    "SubgroupWitness.evaluate": (
+        [lambda: SubgroupWitness(_X, _X, 0, 0, 0).evaluate(0, 0, 0, 0, 1)],
+        [lambda: SubgroupWitness(float(_X), float(_X), 0, 0, 0).evaluate(0, 0, 0, 0, 1)],
+    ),
+    "sylvester_nonneg": (
+        [lambda: sylvester_nonneg(3, 5, 1, 7)],
+        [lambda: sylvester_nonneg(3, 5, 1, 7.5)],
+    ),
+    "CongruenceClass.contains": (
+        [lambda: CongruenceClass(15, 19).contains(53)],
+        [lambda: CongruenceClass(15, 19).contains(53.0)],
     ),
 }
 
