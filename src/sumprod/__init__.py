@@ -2,9 +2,7 @@
 arithmetic progressions, with exhaustive small-parameter oracles for every claim.
 """
 
-from . import classes, core_arith, iterated, oracle, progressions, witness
-from .classes import *
-from .core_arith import *
+from . import iterated, oracle, progressions, witness
 from .iterated import *
 from .oracle import *
 from .progressions import *
@@ -14,8 +12,6 @@ __version__ = "0.1.0"
 
 # Each submodule's __all__ is the one list of its public names.
 __all__ = [
-    *classes.__all__,
-    *core_arith.__all__,
     *witness.__all__,
     *progressions.__all__,
     *iterated.__all__,

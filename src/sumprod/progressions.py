@@ -109,8 +109,9 @@ def solve_progression(inst: Instance) -> ProgressionResult:
 
     The pair theorem's construction runs here on the template as given, with
     no division by delta and no move to representatives: the same _solve,
-    with the same target checks and certificate check, on a plan built by
-    witness._plan_as_given.  The template's checks, its ThresholdReport and
+    with the same residue test, target checks and certificate check, on a
+    plan built by witness._plan_as_given.  A target below ab + cd is refused
+    before it; above, _solve's residue test mod m decides membership.  The template's checks, its ThresholdReport and
     that plan are computed once per template (the last 64 templates are
     kept), and its results share the report; each target then costs one
     cache lookup and one solve, which builds no WitnessTrace.
@@ -118,14 +119,14 @@ def solve_progression(inst: Instance) -> ProgressionResult:
     a, b, c, d, m, N = inst.a, inst.b, inst.c, inst.d, inst.m, inst.N
     report, plan = _plan(a, b, c, d, m)
     base = plan[2]
-    # A target below ab + cd is no member, yet the pair theorem would solve
-    # it, so membership is decided here, before the N = ab + cd shortcut.
-    if N < base or (N - base) % m != 0:
-        return ProgressionResult(NOT_MEMBER, None, report)
     if N == base:
         # Smallest member: the templates themselves already decompose it.
         return ProgressionResult(WITNESS, Witness(a, b, c, d), report)
-    w = _solve(a, b, c, d, m, N, plan, False, inst)[0]
+    # A target below ab + cd is no member, yet the pair theorem would solve
+    # it; above, _solve's residue test mod m is the one membership verdict.
+    if N < base or (got := _solve(a, b, c, d, m, N, plan, False, inst)) is None:
+        return ProgressionResult(NOT_MEMBER, None, report)
+    w = got[0]
     if w.d_prime < d:
         if N >= report.N0:
             raise InternalInvariantError(

@@ -7,7 +7,11 @@ into windows of m' values, shift (a0, c0) by the smallest multiple of m that
 leaves gcd(a1, c1) with m'-part exactly m', shift c1 by the smallest multiple
 of m*m' that clears the remaining prime interference, and finish with the
 least-r lift of (b, d) by the inverse of a'/m' modulo c'/m'.  The first
-step's Bezout pairs and that inverse come from math.gcd and pow(., -1, .).
+step's Bezout pairs (_bezout) and that inverse come from math.gcd and
+pow(., -1, .); _least_r_lift is the lift.  sylvester_nonneg is that lift on
+its own: the nonnegative (r, s) with a*r + c*s = ell*gcd(a, c), the two-coin
+(Sylvester/Frobenius) problem.  All of it is exact arithmetic on plain ints,
+with no floating point.
 x' lies in [0, m' - 1].  y' lies in the far window [b*m, b*m + m' - 1]
 when N >= m*c*(c + b*m*m), and else in the near window
 [b*(m' - 1), b*(m' - 1) + m' - 1].  Both keep c1 >= c; the near window
@@ -48,8 +52,6 @@ from dataclasses import dataclass
 from operator import index
 from typing import Optional
 
-from .core_arith import _bezout, _least_r_lift
-
 __all__ = [
     "Instance",
     "Witness",
@@ -59,6 +61,7 @@ __all__ = [
     "solve_class",
     "solve_dilated",
     "subgroup_witness",
+    "sylvester_nonneg",
     "verify_witness",
     "validate_trace",
 ]
@@ -301,6 +304,47 @@ def validate_trace(trace: WitnessTrace) -> None:
         raise InternalInvariantError(
             f"trace invariants violated: {failed}; trace={t!r}"
         )
+
+
+def _bezout(x: int, y: int) -> tuple[int, int, int]:
+    # For x, y >= 1: (g, s, t) with s*x + t*y = g = gcd(x, y), the pair
+    # extended Euclid returns, whose s is the one in (-Y/2, Y/2] for
+    # Y = y/g.  pow(., -1, 1) is 0, so Y = 1 gives (g, 0, 1).
+    g = math.gcd(x, y)
+    big_y = y // g
+    s = pow(x // g, -1, big_y)
+    if 2 * s > big_y:
+        s -= big_y
+    return g, s, (g - x * s) // y
+
+
+def _least_r_lift(big_a: int, big_c: int, inv: int, ell: int) -> tuple[int, int]:
+    # Given inv = big_a^-1 mod big_c with big_c >= 1: the solution of
+    # big_a*r + big_c*s = ell with the least r >= 0, which has r in [0, big_c).
+    r = inv * ell % big_c
+    return r, (ell - big_a * r) // big_c
+
+
+def sylvester_nonneg(
+    a: int, c: int, mp: int, ell: int
+) -> Optional[tuple[int, int]]:
+    """Nonnegative (r, s) with a*r + c*s = ell*mp, where gcd(a, c) = mp.
+
+    Guaranteed to succeed for ell >= (a/mp - 1)(c/mp - 1); below that bound
+    the answer is still exact (a solution is returned iff one exists).  The
+    returned r is the smallest admissible one, which keeps output stable.
+    A non-integral argument raises TypeError.
+    """
+    for v in (a, c, mp, ell):
+        index(v)
+    if a < 1 or c < 1 or mp < 1:
+        raise ValueError("a, c, mp must be positive")
+    if math.gcd(a, c) != mp:
+        raise ValueError(f"gcd({a}, {c}) != {mp}")
+    big_a, big_c = a // mp, c // mp
+    # s falls as r grows, so the least r >= 0 leaves the largest s.
+    r, s = _least_r_lift(big_a, big_c, pow(big_a, -1, big_c), ell)
+    return (r, s) if s >= 0 else None
 
 
 # Rows _row keeps at once.  A template has at most m' <= m rows, and callers

@@ -39,6 +39,10 @@ def test_product_class_contains_refuses_n_over_its_budget():
     assert time.perf_counter() - start < 0.1
 
 
+def test_product_class_contains_refuses_mixed_moduli():
+    with pytest.raises(ValueError, match="^classes must share a modulus$"):
+        product_class_contains(CongruenceClass(3, 19), CongruenceClass(5, 7), 15)
+
 def test_product_class_examples():
     ok, pair = product_class_contains(
         CongruenceClass(3, 19), CongruenceClass(5, 19), 15

@@ -209,6 +209,11 @@ def test_iterate_refuses_non_decimal_terms(capsys, term, bad):
     assert err == f"error: term {term!r}: not a decimal integer: {bad}\n"
 
 
+def test_iterate_refuses_a_term_with_no_colon(capsys):
+    code, out, err = run_cap(capsys, ["iterate", "3", "5", "1", "1:1"])
+    assert code == 2 and out == ""
+    assert err == "error: term must look like k:c1,c2,...  got '1'\n"
+
 def test_exceptions_sorted(capsys):
     code, out, _ = run_cap(
         capsys, ["--json", "exceptions", "1", "1", "1", "1", "3", "--cap", "200"]

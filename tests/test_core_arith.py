@@ -5,7 +5,7 @@ import random
 import pytest
 
 from sumprod import sylvester_nonneg
-from sumprod.core_arith import _bezout, _least_r_lift
+from sumprod.witness import _bezout, _least_r_lift
 
 
 # ---------------------------------------------------------------- _bezout

@@ -143,6 +143,19 @@ def test_verify_iterated_rejects():
     assert not verify_iterated(spec, IteratedWitness(((24,),)), 24)
 
 
+def test_verify_iterated_rejects_a_term_of_the_wrong_length():
+    # the right sum and residues, but one term has a factor too many
+    from sumprod import IteratedWitness
+
+    spec = IteratedSpec(7, ((5,), (3, 4)))
+    assert not verify_iterated(spec, IteratedWitness(((5, 1), (3, 4))), 17)
+    assert not verify_iterated(spec, IteratedWitness(((5,), (3, 4, 1))), 17)
+
+
+def test_iterated_member_search_refuses_one_bound_per_term_missing():
+    with pytest.raises(ValueError, match="^one bound per term required$"):
+        iterated_member_search(((1,), (1,)), 3, 2, (1,))
+
 def test_iterated_member_search_refuses_wrong_residue():
     spec = IteratedSpec(7, ((5,), (3, 4)))
     ok, qs = iterated_member_search(spec.terms, 7, 18, (30, 30))

@@ -18,7 +18,7 @@ from sumprod import (
     solve_dilated,
     strictness_demo,
 )
-from sumprod.classes import _positive_divisors
+from sumprod.oracle import _positive_divisors
 
 
 def test_search_box():
@@ -182,6 +182,11 @@ def test_progression_oracle_examples():
     assert not oracle_member_progression(Instance(1, 1, 1, 1, 2, 0))[0]
     assert not oracle_member_progression(Instance(1, 1, 1, 1, 2, -6))[0]
 
+
+@pytest.mark.parametrize("template", [(0, 1, 1, 1), (1, 1, 1, -1)])
+def test_progression_oracle_refuses_non_positive_templates(template):
+    with pytest.raises(ValueError, match="^progression templates must be positive$"):
+        oracle_member_progression(Instance(*template, 2, 4))
 
 def test_progression_oracle_scan_budget():
     # 10**6 member indices are scanned; one more, or a 5,000-digit target,

@@ -12,7 +12,7 @@ import sumprod.cli
 import sumprod.iterated
 import sumprod.oracle
 from sumprod import progressions, witness
-from sumprod.classes import CongruenceClass, product_class_contains
+from sumprod.oracle import CongruenceClass, product_class_contains
 from sumprod import (
     Instance,
     InternalInvariantError,
@@ -321,6 +321,29 @@ def test_invariant_error_texts_pinned(monkeypatch):
         "(a,b,c,d,m,k mod m')=(3,5,2,2,19,0)"
     )
 
+
+
+def test_solve_error_texts_pinned(monkeypatch):
+    # _solve's two raises that no honest plan or certificate reaches, byte
+    # for byte: the delta^2 one, by a plan whose step is m instead of
+    # delta*m, so that N = 10 passes the residue test with delta = 2; and the
+    # certificate one, by a certificate check that fails every witness
+    plan = witness._plan(2, 2, 2, 2, 2)
+    crafted = (plan[0], 2, *plan[2:])
+    with pytest.raises(InternalInvariantError) as err:
+        witness._solve(2, 2, 2, 2, 2, 10, crafted, False)
+    assert str(err.value) == (
+        "N not divisible by delta^2 for Instance(a=2, b=2, c=2, d=2, m=2, N=10)"
+    )
+
+    monkeypatch.setattr(witness, "_certificate_ok", lambda *args: False)
+    with pytest.raises(InternalInvariantError) as err:
+        solve_dilated(Instance(6, 10, 4, 4, 38, 608))
+    assert str(err.value) == (
+        "witness failed verification: "
+        "Witness(a_prime=6, b_prime=48, c_prime=4, d_prime=80) "
+        "for Instance(a=6, b=10, c=4, d=4, m=38, N=608)"
+    )
 
 # The solvers that return no trace, each on the pair template (3, 5, 2, 2)
 # mod 19 at N = 152.
