@@ -62,8 +62,8 @@ def _witness_line(w: Witness) -> str:
 
 def _cmd_witness(args) -> int:
     a, b, c, d, m = args.a, args.b, args.c, args.d, args.m
-    inst = Instance(a, b, c, d, m, args.N)
-    got = _solve(a, b, c, d, m, args.N, _plan(a, b, c, d, m), args.trace, inst)
+    Instance(a, b, c, d, m, args.N)  # refuses m < 1 with exit code 2
+    got = _solve(a, b, c, d, m, args.N, _plan(a, b, c, d, m), args.trace)
     if got is None:
         _emit(args, {"status": "not-member"}, "not-member")
         return EXIT_NEGATIVE

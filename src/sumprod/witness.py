@@ -29,19 +29,19 @@ _solve, on the caller's plain ints: the residue test mod delta*m, N/delta^2,
 the row, the lift and its 8 target checks, one witness scaled by delta, and
 one certificate check against the caller's values.  It runs on a plan, what
 depends on the template alone (delta and delta*m, ab + cd, the template the
-pipeline runs on and its modulus, m', whether that template differs from the
-caller's, and the far window's threshold).  The pair theorem's plan, _plan,
-divides by delta = gcd(a, b, c, d, m) and moves to the representatives in
-[1, m/delta]; it is built once and kept for the last 64 templates.  The
-one-sided theorem's plan, _plan_as_given, keeps the template as given,
-which a one-sided decomposition cannot move; progressions keeps it with the
-template's threshold.  Rows are kept for the last 64 rows.  The caller reads
-the plan and hands it to _solve, so the grid sweep reads it once for all of
-a template's targets.  A target whose plan and row are cached costs the plan
-lookup, the row lookup, the residue test, the lift, the 8 target checks and
-one certificate check.  Only solve_class and the CLI's witness --trace
-return the trace, so only they build one, and an Instance is built only for
-a returned trace or an error message.
+pipeline runs on and its modulus, m', and the far window's threshold).  The
+pair theorem's plan, _plan, divides by delta = gcd(a, b, c, d, m) and moves
+to the representatives in [1, m/delta]; it is built once and kept for the
+last 64 templates.  The one-sided theorem's plan, _plan_as_given, keeps the
+template as given, which a one-sided decomposition cannot move; on a
+coprime template with entries in [1, m] the two plans are equal.
+progressions keeps it with the template's threshold.  Rows are kept for the
+last 64 rows.  The caller reads the plan and hands it to _solve, so the grid
+sweep reads it once for all of a template's targets.  A target whose plan
+and row are cached costs the plan lookup, the row lookup, the residue test,
+the lift, the 8 target checks and one certificate check.  Only solve_class
+and the CLI's witness --trace return the trace, so only they build one, and
+an Instance is built only for a returned trace or an error message.
 """
 
 from __future__ import annotations
@@ -382,25 +382,23 @@ def _row(
 
     # u-step: the smallest u leaving gcd(a1, c1) with m'-part exactly m'.  The
     # proof's CRT choice (u ≡ 0 or 1 mod each prime of m') is below rad(m'),
-    # so the search stops below m'.
+    # so the search stops below m'; one that ran out would leave the last u,
+    # which _row_checks fails as u_gcd.
     for u in range(m_p):
         a1 = a0 + d * m * u
         c1 = c0 - b * m * u
         if math.gcd(math.gcd(a1, c1) // m_p, m_p) == 1:
             break
-    else:
-        raise InternalInvariantError(f"no u-shift below m'={m_p} for {a0}, {c0}")
 
     # v-step: the smallest v with gcd(a1, c1 + m*m'*v) = m'.  The proof's CRT
     # choice (c' ≡ 1 mod each prime of a1 outside m) is below the product of
-    # those primes, so the search stops by v = a1.
+    # those primes, so the search stops by v = a1; one that ran out would
+    # leave v = a1, which _row_checks fails as gcd_final.
     a_p = a1
     for v in range(a1 + 1):
         c_p = c1 + m * m_p * v
         if math.gcd(a_p, c_p) == m_p:
             break
-    else:
-        raise InternalInvariantError(f"no v-shift up to a1={a1} for c1={c1}")
 
     failed = _row_checks(
         a, b, c, d, m, m_p, far, x_p, y_p, a0, c0, u, a1, c1, v, a_p, c_p
@@ -428,54 +426,49 @@ _PLAN_CACHE_SIZE = 64
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _plan(
     a: int, b: int, c: int, d: int, m: int
-) -> tuple[int, int, int, int, int, int, int, int, int, bool, int]:
+) -> tuple[int, int, int, int, int, int, int, int, int, int]:
     # Everything _solve needs of the caller's template alone: delta and
     # delta*m, ab + cd, the reduced templates' representatives in
     # [1, m/delta] (the construction needs them positive) and m/delta, m' of
-    # the reduced template, whether the reduced instance differs from the
-    # caller's, and the reduced template's far-window threshold, so that a
-    # target picks its window with one comparison.  m' = gcd(a, c, m) =
-    # gcd(a mod m, c mod m, m), so moving to the representatives leaves it
-    # as it is.
+    # the reduced template, and the reduced template's far-window threshold,
+    # so that a target picks its window with one comparison.  m' =
+    # gcd(a, c, m) = gcd(a mod m, c mod m, m), so moving to the
+    # representatives leaves it as it is.
     delta = math.gcd(a, b, c, d, m)
     ra, rb, rc, rd, rm = a // delta, b // delta, c // delta, d // delta, m // delta
     ra, rb, rc, rd = ra % rm or rm, rb % rm or rm, rc % rm or rm, rd % rm or rm
-    moved = delta != 1 or (ra, rb, rc, rd) != (a, b, c, d)
     return (
         delta, delta * m, a * b + c * d, ra, rb, rc, rd, rm, math.gcd(ra, rc, rm),
-        moved, _far_from(rb, rc, rm),
+        _far_from(rb, rc, rm),
     )
 
 
 def _plan_as_given(
     a: int, b: int, c: int, d: int, m: int
-) -> tuple[int, int, int, int, int, int, int, int, int, bool, int]:
+) -> tuple[int, int, int, int, int, int, int, int, int, int]:
     # A plan in _plan's layout that runs the construction on the template as
-    # given: delta = 1, step m, the template in place of the
-    # representatives, and not moved.  The one-sided theorem needs this: a
-    # one-sided decomposition cannot move its template.  Pre: a, b, c, d >= 1
-    # and gcd(a, b, c, d, m) = 1.
-    return (
-        1, m, a * b + c * d, a, b, c, d, m, math.gcd(a, c, m), False,
-        _far_from(b, c, m),
-    )
+    # given: delta = 1, step m, and the template in place of the
+    # representatives.  The one-sided theorem needs this: a one-sided
+    # decomposition cannot move its template.  Pre: a, b, c, d >= 1 and
+    # gcd(a, b, c, d, m) = 1.  On a template with entries in [1, m] it is
+    # _plan's own plan.
+    return 1, m, a * b + c * d, a, b, c, d, m, math.gcd(a, c, m), _far_from(b, c, m)
 
 
 def _solve(
     a: int, b: int, c: int, d: int, m: int, N: int,
-    plan: tuple[int, int, int, int, int, int, int, int, int, bool, int],
-    traced: bool, inst: Optional[Instance] = None,
+    plan: tuple[int, int, int, int, int, int, int, int, int, int], traced: bool,
 ) -> Optional[tuple[Witness, int, Optional[WitnessTrace]]]:
     # The whole construction, for every solve: divide a, b, c, d and m by
     # delta and N by delta^2, run the pipeline on the plan's template (the
     # representatives, or the template as given), and scale the witness
-    # back.  plan is
-    # _plan(a, b, c, d, m) or _plan_as_given(a, b, c, d, m), read by the
-    # caller, so a caller with many targets of one template reads it once.
-    # inst is Instance(a, b, c, d, m, N) when the caller holds one, else
-    # None; an Instance is built only for a returned trace or an error
-    # message, and names the instance the pipeline ran on.
-    delta, dm, base, ra, rb, rc, rd, rm, m_p, moved, far_from = plan
+    # back.  plan is _plan(a, b, c, d, m) or _plan_as_given(a, b, c, d, m),
+    # read by the caller, so a caller with many targets of one template
+    # reads it once.  An Instance is built only for a returned trace or an
+    # error message: of the caller's values for the delta^2 and certificate
+    # checks, and of the instance the pipeline ran on for the trace and the
+    # target checks.
+    delta, dm, base, ra, rb, rc, rd, rm, m_p, far_from = plan
     if (N - base) % dm != 0:
         return None
     rN = N
@@ -483,9 +476,9 @@ def _solve(
         # N = ab + cd + t*delta*m = delta^2 * (AB + CD + t*M): divisibility
         # is forced.
         if N % (delta * delta) != 0:
-            if inst is None:
-                inst = Instance(a, b, c, d, m, N)
-            raise InternalInvariantError(f"N not divisible by delta^2 for {inst!r}")
+            raise InternalInvariantError(
+                f"N not divisible by delta^2 for {Instance(a, b, c, d, m, N)!r}"
+            )
         rN //= delta * delta
     rbase = ra * rb + rc * rd
     k = (rN - rbase) // rm
@@ -518,11 +511,12 @@ def _solve(
             ra, rb, rc, rd, rm, rN, m_p, k, x, y, z, x_p, y_p, q_x, q_y,
             a_p, c_p, ell, r, s,
         )
-        if inst is None or moved:
-            inst = Instance(ra, rb, rc, rd, rm, rN)
-        raise InternalInvariantError(f"target invariants violated: {failed}; {inst!r}")
+        raise InternalInvariantError(
+            f"target invariants violated: {failed}; "
+            f"{Instance(ra, rb, rc, rd, rm, rN)!r}"
+        )
     trace = WitnessTrace(
-        Instance(ra, rb, rc, rd, rm, rN) if inst is None or moved else inst,
+        Instance(ra, rb, rc, rd, rm, rN),
         m_p, k, x, y, z, x_p, y_p, q_x, q_y, *steps, ell, r, s,
     ) if traced else None
     w = Witness(
@@ -532,9 +526,9 @@ def _solve(
     # scales by delta^2, so this one check on the caller's values covers the
     # reduced solve.
     if not _certificate_ok(a, b, c, d, m, N, w):
-        if inst is None:
-            inst = Instance(a, b, c, d, m, N)
-        raise InternalInvariantError(f"witness failed verification: {w!r} for {inst!r}")
+        raise InternalInvariantError(
+            f"witness failed verification: {w!r} for {Instance(a, b, c, d, m, N)!r}"
+        )
     return w, delta, trace
 
 
@@ -552,7 +546,7 @@ def solve_class(inst: Instance) -> Optional[tuple[Witness, WitnessTrace]]:
         raise ValueError(
             "gcd(a, b, c, d, m) != 1: use solve_dilated for the general case"
         )
-    got = _solve(a, b, c, d, m, inst.N, plan, True, inst)
+    got = _solve(a, b, c, d, m, inst.N, plan, True)
     return None if got is None else (got[0], got[2])
 
 
@@ -575,7 +569,7 @@ def solve_dilated(inst: Instance) -> Optional[tuple[Witness, int]]:
     """
     got = _solve(
         inst.a, inst.b, inst.c, inst.d, inst.m, inst.N,
-        _plan(inst.a, inst.b, inst.c, inst.d, inst.m), False, inst,
+        _plan(inst.a, inst.b, inst.c, inst.d, inst.m), False,
     )
     return None if got is None else got[:2]
 

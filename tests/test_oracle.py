@@ -10,6 +10,7 @@ import sumprod.oracle
 from sumprod import witness
 from sumprod import (
     Instance,
+    InternalInvariantError,
     SearchBox,
     Witness,
     grid_verify_theorem,
@@ -98,6 +99,19 @@ def test_class_oracle_refuses_an_oversize_table():
     with pytest.raises(ValueError, match=r"<= 5\*10\*\*7 bytes, got 20000000201"):
         oracle_member_class(Instance(1, 1, 1, 1, 10**6, 2), SearchBox(-100, 100))
     assert time.perf_counter() - start < 1.0
+
+
+def test_class_oracle_table_hit_with_no_k_l_raises(monkeypatch):
+    # 53 is no member of (3, 5, 2, 2) mod 19 in the box; a table that claims
+    # the hit (0, 0) leaves 38 = 53 - 3*5, which no (2+19k)(2+19l) in the box
+    # makes
+    monkeypatch.setattr(sumprod.oracle, "_first_pair", lambda *args: (0, 0))
+    with pytest.raises(InternalInvariantError) as err:
+        oracle_member_class(Instance(3, 5, 2, 2, 19, 53), SearchBox(-2, 2))
+    assert str(err.value) == (
+        "table hit with no (k, l) in SearchBox(lo=-2, hi=2): "
+        "Instance(a=3, b=5, c=2, d=2, m=19, N=53)"
+    )
 
 
 def _class_products_by_set(c: int, d: int, m: int, box: SearchBox) -> set[int]:

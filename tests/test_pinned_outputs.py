@@ -34,7 +34,7 @@ def _solve(inst, traced):
     # the CLI's witness path: read the template's plan, then the pair solve
     a, b, c, d, m = inst.a, inst.b, inst.c, inst.d, inst.m
     plan = witness._plan(a, b, c, d, m)
-    return witness._solve(a, b, c, d, m, inst.N, plan, traced, inst)
+    return witness._solve(a, b, c, d, m, inst.N, plan, traced)
 
 
 def _dilated_instances():

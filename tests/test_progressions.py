@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -8,6 +9,7 @@ import sumprod.oracle
 from sumprod import progressions
 from sumprod import (
     Instance,
+    InternalInvariantError,
     exceptional_set,
     oracle_member_progression,
     solve_progression,
@@ -122,6 +124,22 @@ def test_threshold_report_keeps_the_callers_types():
     rep = solve_progression(Instance(True, 1, 1, 1, 1, 3)).threshold
     assert type(first.instance[0]) is int and rep.instance[0] is True
 
+
+def test_lift_that_misses_at_or_above_N0_raises(monkeypatch):
+    # (1, 1, 1, 2) mod 1 at N = 4 is a below-threshold failure under its
+    # N0 = 46; with N0 lowered to 4 the same miss breaks the threshold's claim
+    report, plan = progressions._plan(1, 1, 1, 2, 1)
+    assert solve_progression(Instance(1, 1, 1, 2, 1, 4)).status == (
+        "below-threshold-failure"
+    )
+    lowered = (dataclasses.replace(report, N0=4), plan)
+    monkeypatch.setattr(progressions, "_plan", lambda *template: lowered)
+    with pytest.raises(InternalInvariantError) as err:
+        solve_progression(Instance(1, 1, 1, 2, 1, 4))
+    assert str(err.value) == (
+        "one-sided lift must succeed at N >= N0: "
+        "Instance(a=1, b=1, c=1, d=2, m=1, N=4), N0=4"
+    )
 
 def test_consistency_with_oracle():
     # solver success implies oracle membership (soundness); oracle membership

@@ -40,7 +40,7 @@ def _solve(inst, traced):
     # the CLI's witness path: read the template's plan, then the pair solve
     a, b, c, d, m = inst.a, inst.b, inst.c, inst.d, inst.m
     plan = witness._plan(a, b, c, d, m)
-    return witness._solve(a, b, c, d, m, inst.N, plan, traced, inst)
+    return witness._solve(a, b, c, d, m, inst.N, plan, traced)
 
 
 # ---------------------------------------------------------------- the lift
@@ -344,6 +344,80 @@ def test_solve_error_texts_pinned(monkeypatch):
         "Witness(a_prime=6, b_prime=48, c_prime=4, d_prime=80) "
         "for Instance(a=6, b=10, c=4, d=4, m=38, N=608)"
     )
+
+
+def _search_tries_only(monkeypatch, n, tried):
+    # witness's loops over range(n) try only the values in `tried`
+    monkeypatch.setattr(
+        witness, "range", lambda k: tried if k == n else range(k), raising=False
+    )
+
+
+def test_u_step_that_runs_out_fails_u_gcd(monkeypatch):
+    # On (4, 2, 4, 3, 4) at N = 24 (m' = 4, k mod m' = 1) the u-step stops at
+    # u = 1.  Tried on u = 0 alone it runs out, the row checks fail u_gcd by
+    # name (and gcd_final, which no v repairs), and no row is cached.
+    witness._row.cache_clear()
+    _search_tries_only(monkeypatch, 4, [0])
+    with pytest.raises(InternalInvariantError) as err:
+        solve_dilated(Instance(4, 2, 4, 3, 4, 24))
+    assert str(err.value) == (
+        "row invariants violated: ['u_gcd', 'gcd_final']; "
+        "(a,b,c,d,m,k mod m')=(4,2,4,3,4,1)"
+    )
+    assert witness._row.cache_info().currsize == 0
+
+
+def test_v_step_that_runs_out_fails_gcd_final(monkeypatch):
+    # On (2, 1, 2, 1, 3) at N = 7 (m' = 1, a1 = 2) the v-step stops at v = 1.
+    # Tried on v = 0 alone it runs out, the row checks fail gcd_final by
+    # name, and no row is cached.
+    witness._row.cache_clear()
+    _search_tries_only(monkeypatch, 3, [0])
+    with pytest.raises(InternalInvariantError) as err:
+        solve_dilated(Instance(2, 1, 2, 1, 3, 7))
+    assert str(err.value) == (
+        "row invariants violated: ['gcd_final']; "
+        "(a,b,c,d,m,k mod m')=(2,1,2,1,3,0)"
+    )
+    assert witness._row.cache_info().currsize == 0
+
+
+def test_row_refuses_a_template_with_a_common_factor():
+    # every solver divides by delta first, so only a direct call reaches it
+    witness._row.cache_clear()
+    with pytest.raises(InternalInvariantError) as err:
+        witness._row(2, 2, 2, 2, 2, 0, False)
+    assert str(err.value) == "gcd(b, d, m') = 2, not 1: (a,b,c,d,m)=(2,2,2,2,2)"
+    assert witness._row.cache_info().currsize == 0
+
+
+def test_subgroup_witness_refuses_a_pair_witness_that_mis_evaluates(monkeypatch):
+    # the templates themselves decompose ab + cd, not ab + cd + m*t
+    def templates(inst):
+        return Witness(inst.a, inst.b, inst.c, inst.d), 1
+
+    monkeypatch.setattr(witness, "solve_dilated", templates)
+    with pytest.raises(InternalInvariantError) as err:
+        subgroup_witness(3, 5, 2, 2, 19, 7)
+    assert str(err.value) == (
+        "subgroup witness mis-evaluates: SubgroupWitness(w=0, x=0, y=0, z=0, t=7)"
+    )
+
+
+def test_plan_as_given_is_the_pair_plan_on_templates_in_range():
+    # On a coprime template with entries in [1, m] the pair plan moves
+    # nothing, so the one-sided path runs the pair construction unchanged.
+    count = 0
+    for m in range(1, 7):
+        for a, b, c, d in itertools.product(range(1, m + 1), repeat=4):
+            if math.gcd(a, b, c, d, m) == 1:
+                assert witness._plan(a, b, c, d, m) == witness._plan_as_given(
+                    a, b, c, d, m
+                ), (a, b, c, d, m)
+                count += 1
+    assert count > 1000
+
 
 # The solvers that return no trace, each on the pair template (3, 5, 2, 2)
 # mod 19 at N = 152.
