@@ -6,12 +6,14 @@ every intermediate in a WitnessTrace: solve b*x + d*y + m'*z = k, reduce x, y
 into windows of m' values, shift (a0, c0) by the smallest multiple of m that
 leaves gcd(a1, c1) with m'-part exactly m', shift c1 by the smallest multiple
 of m*m' that clears the remaining prime interference, and finish with the
-least-r lift of (b, d) by the inverse of a'/m' modulo c'/m'.  The first
-step's Bezout pairs (_bezout) and that inverse come from math.gcd and
-pow(., -1, .); _least_r_lift is the lift.  sylvester_nonneg is that lift on
-its own: the nonnegative (r, s) with a*r + c*s = ell*gcd(a, c), the two-coin
-(Sylvester/Frobenius) problem.  All of it is exact arithmetic on plain ints,
-with no floating point.
+least-r lift of (b, d) by the inverse of a'/m' modulo c'/m'.  Only x and y
+mod m' reach the row, so the first step takes its Bezout pairs (_bezout) of
+b and d mod m', numbers no larger than m', and solves for z exactly; m'
+itself comes from the plan.  The Bezout pairs and the inverse come from
+math.gcd and pow(., -1, .); _least_r_lift is the lift.  sylvester_nonneg is
+that lift on its own: the nonnegative (r, s) with a*r + c*s =
+ell*gcd(a, c), the two-coin (Sylvester/Frobenius) problem.  All of it is
+exact arithmetic on plain ints, with no floating point.
 x' lies in [0, m' - 1].  y' lies in the far window [b*m, b*m + m' - 1]
 when N >= m*c*(c + b*m*m), and else in the near window
 [b*(m' - 1), b*(m' - 1) + m' - 1].  Both keep c1 >= c; the near window
@@ -236,7 +238,8 @@ def _row_checks(
         failed.append("a1")
     if not c1 == c0 - b * m * u:
         failed.append("c1")
-    if not math.gcd(math.gcd(a1, c1) // mp, mp) == 1:
+    g1 = math.gcd(a1, c1)
+    if not math.gcd(g1 // mp, mp) == 1:
         failed.append("u_gcd")
     if not 0 <= v <= a1:
         failed.append("v_window")
@@ -244,7 +247,8 @@ def _row_checks(
         failed.append("a_prime")
     if not c_p == c1 + m * mp * v:
         failed.append("c_prime")
-    if not math.gcd(a_p, c_p) == mp:
+    # At v = 0, (a', c') is (a1, c1), whose gcd u_gcd took.
+    if not (g1 if (a_p, c_p) == (a1, c1) else math.gcd(a_p, c_p)) == mp:
         failed.append("gcd_final")
     if not a <= a_p <= a_hi:
         failed.append("ineq2_a")
@@ -354,26 +358,32 @@ _ROW_CACHE_SIZE = 64
 
 @functools.lru_cache(maxsize=_ROW_CACHE_SIZE)
 def _row(
-    a: int, b: int, c: int, d: int, m: int, k_res: int, far: bool
+    a: int, b: int, c: int, d: int, m: int, m_p: int, k_res: int, far: bool
 ) -> tuple[tuple[int, ...], ...]:
     # The pipeline up to (a', c'), which depends on the target only through
     # k_res = k mod m' and the y' window its size picks (far is N >=
     # _far_from(b, c, m)), as one group per proof stage in WitnessTrace
     # order: the unit solution, the windows, the u- and v-steps, and the
-    # lift's data (a'/m', c'/m', inverse of a'/m' mod c'/m').  (x1, y1, z1)
-    # solves b*x + d*y + m'*z = 1 from the Bezout pairs of (gcd(b, d), m')
-    # and (b, d), which gcd(b, d, m') = gcd(a, b, c, d, m) = 1 allows; so
-    # k*(x1, y1, z1) solves it for k, and x', y' are read off k_res*(x1, y1)
+    # lift's data (a'/m', c'/m', inverse of a'/m' mod c'/m').  m_p is the
+    # plan's m' = gcd(a, c, m); _row_checks verifies it after the steps, so
+    # a wrong one can keep the v-step from stopping.  Only x and y mod m'
+    # reach the row, so (x1, y1) comes from the Bezout pairs of
+    # (gcd(b_r, d_r), m') and (b_r, d_r), for b_r, d_r the residues of b, d
+    # in [1, m'], which gcd(b_r, d_r, m') = gcd(b, d, m') = 1 allows; then
+    # b*x1 + d*y1 ≡ 1 (mod m'), and z1 makes it exact.  So k*(x1, y1, z1)
+    # solves b*x + d*y + m'*z = k, and x', y' are read off k_res*(x1, y1)
     # into [0, m' - 1] and the y' window.  At m' = 1 the near window is {0},
-    # so c0 = c; and s2 = 0, so (b, d)'s pair (s1, t1) drops out, uncomputed.
-    m_p = math.gcd(a, c, m)
-    g, s2, t2 = _bezout(math.gcd(b, d), m_p)
+    # so c0 = c; b_r = d_r = 1 and s2 = 0, so (x1, y1, z1) = (0, 0, 1) and
+    # (b_r, d_r)'s pair (s1, t1) drops out, uncomputed.
+    b_r, d_r = b % m_p or m_p, d % m_p or m_p
+    g, s2 = _bezout(math.gcd(b_r, d_r), m_p)[:2]
     if g != 1:
         raise InternalInvariantError(
             f"gcd(b, d, m') = {g}, not 1: (a,b,c,d,m)=({a},{b},{c},{d},{m})"
         )
-    s1, t1 = _bezout(b, d)[1:] if s2 else (0, 0)
-    x1, y1, z1 = s1 * s2, t1 * s2, t2
+    s1, t1 = _bezout(b_r, d_r)[1:] if s2 else (0, 0)
+    x1, y1 = s1 * s2, t1 * s2
+    z1 = (1 - b * x1 - d * y1) // m_p
     x_p = k_res * x1 % m_p
     y_lo = _y_low(b, m, m_p, far)
     y_p = y_lo + (k_res * y1 - y_lo) % m_p
@@ -383,11 +393,15 @@ def _row(
     # u-step: the smallest u leaving gcd(a1, c1) with m'-part exactly m'.  The
     # proof's CRT choice (u ≡ 0 or 1 mod each prime of m') is below rad(m'),
     # so the search stops below m'; one that ran out would leave the last u,
-    # which _row_checks fails as u_gcd.
+    # which _row_checks fails as u_gcd.  m' divides a1 and c1, so
+    # gcd(m', a1/m', c1/m') is u_gcd's gcd(gcd(a1, c1)/m', m'), with the
+    # small operand first; at m' = 1 it is 1 after one step.  The check
+    # keeps its own form, which stays right on a trace whose m' does not
+    # divide a1 and c1.
     for u in range(m_p):
         a1 = a0 + d * m * u
         c1 = c0 - b * m * u
-        if math.gcd(math.gcd(a1, c1) // m_p, m_p) == 1:
+        if math.gcd(m_p, a1 // m_p, c1 // m_p) == 1:
             break
 
     # v-step: the smallest v with gcd(a1, c1 + m*m'*v) = m'.  The proof's CRT
@@ -430,10 +444,10 @@ def _plan(
     # Everything _solve needs of the caller's template alone: delta and
     # delta*m, ab + cd, the reduced templates' representatives in
     # [1, m/delta] (the construction needs them positive) and m/delta, m' of
-    # the reduced template, and the reduced template's far-window threshold,
-    # so that a target picks its window with one comparison.  m' =
-    # gcd(a, c, m) = gcd(a mod m, c mod m, m), so moving to the
-    # representatives leaves it as it is.
+    # the reduced template (the one _row takes), and the reduced template's
+    # far-window threshold, so that a target picks its window with one
+    # comparison.  m' = gcd(a, c, m) = gcd(a mod m, c mod m, m), so moving
+    # to the representatives leaves it as it is.
     delta = math.gcd(a, b, c, d, m)
     ra, rb, rc, rd, rm = a // delta, b // delta, c // delta, d // delta, m // delta
     ra, rb, rc, rd = ra % rm or rm, rb % rm or rm, rc % rm or rm, rd % rm or rm
@@ -483,7 +497,7 @@ def _solve(
     rbase = ra * rb + rc * rd
     k = (rN - rbase) // rm
     (x1, y1, z1), (x_p, y_p), steps, (big_a, big_c, inv) = _row(
-        ra, rb, rc, rd, rm, k % m_p, rN >= far_from
+        ra, rb, rc, rd, rm, m_p, k % m_p, rN >= far_from
     )
     x, y, z = k * x1, k * y1, k * z1
     q_x, q_y = (x - x_p) // m_p, (y - y_p) // m_p

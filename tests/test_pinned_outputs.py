@@ -15,9 +15,10 @@ import random
 from sumprod import Instance, solve_progression
 from sumprod import witness
 
-DILATED_DIGEST = "5a7a16d11ca8d53d77868218aa76af0e4effc1b91a4b42878d288e37e4dfa720"
+DILATED_DIGEST = "121a55a2e0719901f38f1b4bae58e2a6b3296b3fd4e666a2d0aa4fa6db3a6642"
 PROGRESSION_DIGEST = "24d554b5d287a45f129d0ef81e08c8af7d3d36857b215133192c484431a9f245"
-LARGE_MODULI_DIGEST = "dbd67e8f933edf005e1fcf83826456d1baa17e86ff257ea491b2cdc2eb5d7b29"
+LARGE_MODULI_DIGEST = "3b0e1480be3a5ac3bc254bad7f77aa7f458db90533d96ac633af04fa46ac0591"
+M_PRIME_1_DIGEST = "222026dc8ab2e707a35f29fd69c9a1ee4b4884845a686f80d079a4c7f822e252"
 
 
 def _digest(rows):
@@ -62,7 +63,8 @@ def _dilated_rows():
 def _large_moduli_instances():
     # 200 seeded instances each with 128-, 256- and 512-bit moduli.  Every
     # second one multiplies a, c and m by a shared factor, so m' > 1 and the
-    # unit solve takes both of its Bezout pairs, (gcd(b, d), m') and (b, d).
+    # unit solve takes both of its Bezout pairs, (gcd(b_r, d_r), m') and
+    # (b_r, d_r), on the residues of b and d mod m'.
     rng = random.Random(2026)
     for bits in (128, 256, 512):
         for i in range(200):
@@ -73,6 +75,32 @@ def _large_moduli_instances():
                 a, c, m = f * a, f * c, f * m
             step = math.gcd(a, b, c, d, m) * m
             yield Instance(a, b, c, d, m, a * b + c * d + rng.getrandbits(bits) * step)
+
+
+def _m_prime_1_rows():
+    # The outputs whose row has m' = 1, where the unit solution is (0, 0, 1)
+    # whatever b and d are: every template with m <= 6 at 7 targets, then
+    # 100 seeded templates each with 64-, 128-, 256- and 512-bit moduli.
+    instances = []
+    for m in range(1, 7):
+        for a, b, c, d in itertools.product(range(1, m + 1), repeat=4):
+            step = math.gcd(a, b, c, d, m) * m
+            instances.extend(
+                Instance(a, b, c, d, m, a * b + c * d + t * step) for t in range(-3, 4)
+            )
+    rng = random.Random(28)
+    for bits in (64, 128, 256, 512):
+        for _ in range(100):
+            m = rng.getrandbits(bits - 1) | (1 << (bits - 1))
+            a, b, c, d = (rng.randint(1, m) for _ in range(4))
+            step = math.gcd(a, b, c, d, m) * m
+            instances.append(
+                Instance(a, b, c, d, m, a * b + c * d + rng.getrandbits(bits) * step)
+            )
+    for inst in instances:
+        w, delta, trace = _solve(inst, True)
+        if trace.m_prime == 1:
+            yield dataclasses.astuple(w), delta, dataclasses.astuple(trace)
 
 
 def _progression_rows():
@@ -102,6 +130,12 @@ def test_large_moduli_outputs_pinned():
         rows.append((dataclasses.astuple(w), delta, dataclasses.astuple(trace)))
     assert m_prime_above_1 == 338
     assert _digest(rows) == (600, LARGE_MODULI_DIGEST)
+
+
+def test_m_prime_1_outputs_pinned():
+    # Only rows with m' > 1 read b and d past their residues mod m', so the
+    # m' = 1 outputs stay as they were when the unit solve moved to residues.
+    assert _digest(_m_prime_1_rows()) == (13_234, M_PRIME_1_DIGEST)
 
 
 def test_progression_outputs_pinned():

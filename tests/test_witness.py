@@ -13,6 +13,7 @@ import sumprod.iterated
 import sumprod.oracle
 from sumprod import progressions, witness
 from sumprod.oracle import CongruenceClass, product_class_contains
+from sumprod.witness import _bezout, _least_r_lift
 from sumprod import (
     Instance,
     InternalInvariantError,
@@ -43,7 +44,137 @@ def _solve(inst, traced):
     return witness._solve(a, b, c, d, m, inst.N, plan, traced)
 
 
+# ---------------------------------------------------------------- _bezout
+
+def _euclid(x, y):
+    # The reference: extended Euclid, whose (g, s, t) _bezout must give
+    # exactly, so that every unit solve and trace stays the same.
+    if x == 0 and y == 0:
+        return 0, 0, 0
+    old_r, r = x, y
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def _bezout_inputs():
+    yield from itertools.product(range(1, 301), repeat=2)
+    rng = random.Random(2024)
+    for bits in (8, 64, 128, 256, 512, 1024):
+        for _ in range(200):
+            x = rng.getrandbits(bits) | 1
+            y = rng.getrandbits(rng.randint(1, bits)) + 1
+            f = rng.getrandbits(rng.randint(1, 64)) + 1
+            # random, a shared factor, x | y, y | x, x == y, y/g == 2 (the tie)
+            yield from ((x, y), (x * f, y * f), (x, x * f), (x * f, x), (x, x))
+            yield x * f, 2 * f
+
+
+def test_bezout_is_euclids_pair():
+    # the same (g, s, t) as extended Euclid, whose s lies in (-Y/2, Y/2] for
+    # Y = y/g, so the unit solve and every trace built on it are unchanged
+    ties = 0
+    for x, y in _bezout_inputs():
+        got = _bezout(x, y)
+        assert got == _euclid(x, y), (x, y)
+        g, s, t = got
+        assert g == math.gcd(x, y) and s * x + t * y == g
+        ties += y // g == 2
+    assert ties > 0
+
+
+# ---------------------------------------------------------------- sylvester_nonneg
+
+def test_sylvester_examples():
+    assert sylvester_nonneg(3, 5, 1, 8) == (1, 1)
+    assert sylvester_nonneg(3, 5, 1, 7) is None
+    # the guaranteed-regime instance ell = (3-1)(5-1)
+    r, s = sylvester_nonneg(3, 5, 1, 8)
+    assert 3 * r + 5 * s == 8 and r >= 0 and s >= 0
+
+
+def test_sylvester_with_common_factor():
+    r, s = sylvester_nonneg(6, 10, 2, 11)
+    assert 6 * r + 10 * s == 22 and r >= 0 and s >= 0
+
+
+def test_sylvester_precondition():
+    with pytest.raises(ValueError):
+        sylvester_nonneg(6, 10, 1, 4)
+    with pytest.raises(ValueError):
+        sylvester_nonneg(0, 5, 5, 1)
+
+
+def test_sylvester_negative_target():
+    assert sylvester_nonneg(3, 5, 1, -2) is None
+    assert sylvester_nonneg(3, 5, 1, 0) == (0, 0)
+
+
+def test_sylvester_exact_and_guaranteed_above_bound():
+    # a solution comes back exactly when a nonnegative one exists, with the
+    # least r, and always once ell >= (A - 1)(C - 1) for A = a/mp, C = c/mp
+    for a, c in itertools.product(range(1, 13), repeat=2):
+        mp = math.gcd(a, c)
+        big_a, big_c = a // mp, c // mp
+        bound = (big_a - 1) * (big_c - 1)
+        for ell in range(-3, bound + 8):
+            least = next(
+                (
+                    (r, (ell - big_a * r) // big_c)
+                    for r in range(ell // big_a + 1)
+                    if (ell - big_a * r) % big_c == 0
+                ),
+                None,
+            )
+            assert sylvester_nonneg(a, c, mp, ell) == least, (a, c, ell)
+            if ell >= bound:
+                assert least is not None
+
+
 # ---------------------------------------------------------------- the lift
+
+def _lift_by_euclid(big_a, big_c, ell):
+    # The reduction from a Bezout pair s*A + t*C = 1: the general solution of
+    # A*r + C*s' = ell is (s*ell + C*j, t*ell - A*j); reduce r into [0, C).
+    _, s, t = _euclid(big_a, big_c)
+    r0, s0 = s * ell, t * ell
+    r = r0 % big_c
+    return r, s0 - big_a * ((r - r0) // big_c)
+
+
+def _coprime_pairs():
+    yield from ((1, 1), (1, 7), (7, 1), (1, 1 << 1023))
+    rng = random.Random(1024)
+    for bits in (2, 8, 64, 190, 512, 1024):
+        done = 0
+        while done < 40:
+            big_a = rng.getrandbits(rng.randint(1, bits)) | 1
+            big_c = rng.getrandbits(bits) | 1
+            if math.gcd(big_a, big_c) == 1:
+                done += 1
+                yield big_a, big_c
+
+
+def test_lift_by_inverse_matches_euclid():
+    # the lift by pow(A, -1, C) gives the same (r, s) as the Bezout-pair
+    # reduction, for A = 1, C = 1 and ell of either sign
+    rng = random.Random(11)
+    for big_a, big_c in _coprime_pairs():
+        inv = pow(big_a, -1, big_c)
+        bits = max(big_a.bit_length(), big_c.bit_length())
+        for ell in (0, 1, -1, rng.getrandbits(2 * bits), -rng.getrandbits(2 * bits)):
+            got = _least_r_lift(big_a, big_c, inv, ell)
+            assert got == _lift_by_euclid(big_a, big_c, ell), (big_a, big_c, ell)
+            r, s = got
+            assert big_a * r + big_c * s == ell and 0 <= r < big_c
+
 
 def test_pipeline_lift_matches_sylvester():
     # solve_progression trusts one rule: the least-r lift has d' >= d exactly
@@ -387,7 +518,7 @@ def test_row_refuses_a_template_with_a_common_factor():
     # every solver divides by delta first, so only a direct call reaches it
     witness._row.cache_clear()
     with pytest.raises(InternalInvariantError) as err:
-        witness._row(2, 2, 2, 2, 2, 0, False)
+        witness._row(2, 2, 2, 2, 2, 2, 0, False)
     assert str(err.value) == "gcd(b, d, m') = 2, not 1: (a,b,c,d,m)=(2,2,2,2,2)"
     assert witness._row.cache_info().currsize == 0
 
@@ -698,14 +829,22 @@ def test_row_cache_builds_a_template_once():
     assert witness._row.cache_info().misses == 1
 
 
+# A 64-bit template with m' = 6, whose b and d exceed m'
+_M_PRIME_6_64_BIT = (
+    6 * 1234567890123456789, 12345678901234567891,
+    6 * 987654321987654321, 9876543210987654323, 6 * (2**61 - 1),
+)
+
+
 @pytest.mark.parametrize(
     "template, calls",
-    [((3, 5, 2, 2, 19), 1), ((4, 2, 4, 3, 4), 2)],
-    ids=["m_prime_1", "m_prime_4"],
+    [((3, 5, 2, 2, 19), 1), ((4, 2, 4, 3, 4), 2), (_M_PRIME_6_64_BIT, 2)],
+    ids=["m_prime_1", "m_prime_4", "m_prime_6_64_bit"],
 )
 def test_cold_row_extended_gcd_calls(monkeypatch, template, calls):
-    # a new row takes the unit solve's Bezout pair of (gcd(b, d), m'), and
-    # the one of (b, d) only when m' > 1; the lift's inverse takes none
+    # a new row takes the unit solve's Bezout pair of (gcd(b_r, d_r), m'),
+    # and the one of (b_r, d_r) only when m' > 1, for b_r, d_r the residues
+    # of b, d mod m', so no argument exceeds m'; the lift's inverse takes none
     seen = []
     real = witness._bezout
 
@@ -717,9 +856,81 @@ def test_cold_row_extended_gcd_calls(monkeypatch, template, calls):
     witness._row.cache_clear()
     a, b, c, d, m = template
     inst = Instance(a, b, c, d, m, a * b + c * d + 5 * m)
-    assert verify_witness(inst, solve_class(inst)[0])
+    w, trace = solve_class(inst)
+    assert verify_witness(inst, w)
     assert witness._row.cache_info().misses == 1
     assert len(seen) == calls, seen
+    assert max(map(max, seen)) <= trace.m_prime, seen
+
+
+def _grid_templates(top):
+    # every coprime template with m <= top and entries in [1, m]
+    for m in range(1, top + 1):
+        for a, b, c, d in itertools.product(range(1, m + 1), repeat=4):
+            if math.gcd(a, b, c, d, m) == 1:
+                yield a, b, c, d, m
+
+
+def _large_m_prime_templates():
+    # Seeded 64- to 512-bit templates with m' > 1: a, c and m share a factor,
+    # and every third b, and every third d, is a multiple of m'.
+    rng = random.Random(28)
+    for bits in (64, 128, 256, 512):
+        for i in range(30):
+            f = rng.randint(2, 1 << 16)
+            m = f * (rng.getrandbits(bits - 1) | (1 << (bits - 1)))
+            a, c = f * rng.randint(1, m // f), f * rng.randint(1, m // f)
+            m_p = math.gcd(a, c, m)
+            while True:
+                b, d = rng.randint(1, m), rng.randint(1, m)
+                if i % 3 == 1:
+                    b = m_p * rng.randint(1, m // m_p)
+                elif i % 3 == 2:
+                    d = m_p * rng.randint(1, m // m_p)
+                if math.gcd(b, d, m_p) == 1:
+                    break
+            yield a, b, c, d, m
+
+
+def test_unit_solution_solves_the_unit_equation():
+    # (x1, y1, z1) solves b*x + d*y + m'*z = 1 on every row of the m <= 6
+    # grid, and on large templates with m' > 1, b ≡ 0 and d ≡ 0 mod m' among
+    # them
+    for a, b, c, d, m in _grid_templates(6):
+        m_p = math.gcd(a, c, m)
+        for k_res, far in itertools.product(range(m_p), (False, True)):
+            x1, y1, z1 = witness._row(a, b, c, d, m, m_p, k_res, far)[0]
+            assert b * x1 + d * y1 + m_p * z1 == 1, (a, b, c, d, m, k_res, far)
+    rng = random.Random(6)
+    zero_b = zero_d = 0
+    for a, b, c, d, m in _large_m_prime_templates():
+        m_p = math.gcd(a, c, m)
+        assert m_p > 1 and max(b, d) > m_p
+        zero_b += b % m_p == 0
+        zero_d += d % m_p == 0
+        row = witness._row(a, b, c, d, m, m_p, rng.randrange(m_p), rng.random() < 0.5)
+        x1, y1, z1 = row[0]
+        assert b * x1 + d * y1 + m_p * z1 == 1, (a, b, c, d, m)
+    assert zero_b > 0 and zero_d > 0
+
+
+def test_row_refuses_a_wrong_m_prime():
+    # handed 2*m' in place of the plan's m', a row fails its m_prime check,
+    # or the unit solve's gcd, and is not cached
+    witness._row.cache_clear()
+    names = set()
+    for a, b, c, d, m in _grid_templates(4):
+        m_p = 2 * math.gcd(a, c, m)
+        with pytest.raises(InternalInvariantError) as err:
+            witness._row(a, b, c, d, m, m_p, 0, False)
+        text = str(err.value)
+        if text.startswith("gcd(b, d, m') = "):
+            names.add("gcd")
+        else:
+            assert text.startswith("row invariants violated: ['m_prime'"), text
+            names.add("m_prime")
+    assert names == {"gcd", "m_prime"}
+    assert witness._row.cache_info().currsize == 0
 
 
 def _grid_outputs(instances):
@@ -786,8 +997,9 @@ def _plan_sample():
 
 # The sample's _solve(inst, True) results, hashed as in
 # tests/test_pinned_outputs.py.  Taken from the solver before it had plans,
-# and retaken when the y' window came to be chosen by target size.
-_PLAN_SAMPLE_DIGEST = "7aad3baa031ecfa8ffab3a76c2f62626da3477f9009cc944e288dde07337161b"
+# and retaken when the y' window came to be chosen by target size and when
+# the unit solve moved to b and d mod m'.
+_PLAN_SAMPLE_DIGEST = "fc469bb3815a923c6edf1b2b25ec23a00e28c4382863bc037f0681da8b59854a"
 
 
 def _solvers(inst):
