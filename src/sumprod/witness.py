@@ -6,10 +6,13 @@ every intermediate in a WitnessTrace: solve b*x + d*y + m'*z = k, reduce x, y
 into windows of m' values, shift (a0, c0) by the smallest multiple of m that
 leaves gcd(a1, c1) with m'-part exactly m', shift c1 by the smallest multiple
 of m*m' that clears the remaining prime interference, and finish with the
-least-r lift of (b, d) by the inverse of a'/m' modulo c'/m'.  Only x and y
-mod m' reach the row, so the first step takes its Bezout pairs (_bezout) of
-b and d mod m', numbers no larger than m', and solves for z exactly; m'
-itself comes from the plan.  The Bezout pairs and the inverse come from
+least-r lift of (b, d) by the inverse of a'/m' modulo c'/m'.  At m' = 1
+every congruence mod m' holds, so the steps before the v-step have a closed
+form: (x, y, z) = (0, 0, k), x' = 0, y' the low end of its window, u = 0.
+For m' > 1 only x and y mod m' reach the row, so the first step takes its
+Bezout pairs (_bezout) of b and d mod m', numbers no larger than m', and
+solves for z exactly.  m' itself comes from the plan, as gcd(a, c, m)/delta
+of the caller's template.  The Bezout pairs and the inverse come from
 math.gcd and pow(., -1, .); _least_r_lift is the lift.  sylvester_nonneg is
 that lift on its own: the nonnegative (r, s) with a*r + c*s =
 ell*gcd(a, c), the two-coin (Sylvester/Frobenius) problem.  All of it is
@@ -365,53 +368,62 @@ def _row(
     # _far_from(b, c, m)), as one group per proof stage in WitnessTrace
     # order: the unit solution, the windows, the u- and v-steps, and the
     # lift's data (a'/m', c'/m', inverse of a'/m' mod c'/m').  m_p is the
-    # plan's m' = gcd(a, c, m); _row_checks verifies it after the steps, so
-    # a wrong one can keep the v-step from stopping.  Only x and y mod m'
-    # reach the row, so (x1, y1) comes from the Bezout pairs of
-    # (gcd(b_r, d_r), m') and (b_r, d_r), for b_r, d_r the residues of b, d
-    # in [1, m'], which gcd(b_r, d_r, m') = gcd(b, d, m') = 1 allows; then
+    # plan's m' = gcd(a, c, m), which _row_checks verifies after the steps.
+    # At m' = 1 every congruence mod m' holds, so the steps before the v-step
+    # have their closed form: the unit solution (0, 0, 1), x' = 0, y' the low
+    # end of its window, and u = 0.  Otherwise only x and y mod m' reach the
+    # row, so (x1, y1) comes from the Bezout pairs of (gcd(b_r, d_r), m') and
+    # (b_r, d_r), for b_r, d_r the residues of b, d in [1, m'], which
+    # gcd(b_r, d_r, m') = gcd(b, d, m') = 1 allows; then
     # b*x1 + d*y1 ≡ 1 (mod m'), and z1 makes it exact.  So k*(x1, y1, z1)
     # solves b*x + d*y + m'*z = k, and x', y' are read off k_res*(x1, y1)
-    # into [0, m' - 1] and the y' window.  At m' = 1 the near window is {0},
-    # so c0 = c; b_r = d_r = 1 and s2 = 0, so (x1, y1, z1) = (0, 0, 1) and
-    # (b_r, d_r)'s pair (s1, t1) drops out, uncomputed.
-    b_r, d_r = b % m_p or m_p, d % m_p or m_p
-    g, s2 = _bezout(math.gcd(b_r, d_r), m_p)[:2]
-    if g != 1:
-        raise InternalInvariantError(
-            f"gcd(b, d, m') = {g}, not 1: (a,b,c,d,m)=({a},{b},{c},{d},{m})"
-        )
-    s1, t1 = _bezout(b_r, d_r)[1:] if s2 else (0, 0)
-    x1, y1 = s1 * s2, t1 * s2
-    z1 = (1 - b * x1 - d * y1) // m_p
-    x_p = k_res * x1 % m_p
-    y_lo = _y_low(b, m, m_p, far)
-    y_p = y_lo + (k_res * y1 - y_lo) % m_p
-    a0 = a + m * x_p
-    c0 = c + m * y_p
+    # into [0, m' - 1] and the y' window.
+    if m_p == 1:
+        x1, y1, z1 = 0, 0, 1
+        x_p, y_p = 0, _y_low(b, m, 1, far)
+        # a + 0, not a: a one-sided caller's True enters the row as 1
+        a0, c0 = a + 0, c + m * y_p
+        u, a1, c1 = 0, a0, c0
+    else:
+        b_r, d_r = b % m_p or m_p, d % m_p or m_p
+        g, s2 = _bezout(math.gcd(b_r, d_r), m_p)[:2]
+        if g != 1:
+            raise InternalInvariantError(
+                f"gcd(b, d, m') = {g}, not 1: (a,b,c,d,m)=({a},{b},{c},{d},{m})"
+            )
+        s1, t1 = _bezout(b_r, d_r)[1:] if s2 else (0, 0)
+        x1, y1 = s1 * s2, t1 * s2
+        z1 = (1 - b * x1 - d * y1) // m_p
+        x_p = k_res * x1 % m_p
+        y_lo = _y_low(b, m, m_p, far)
+        y_p = y_lo + (k_res * y1 - y_lo) % m_p
+        a0 = a + m * x_p
+        c0 = c + m * y_p
 
-    # u-step: the smallest u leaving gcd(a1, c1) with m'-part exactly m'.  The
-    # proof's CRT choice (u ≡ 0 or 1 mod each prime of m') is below rad(m'),
-    # so the search stops below m'; one that ran out would leave the last u,
-    # which _row_checks fails as u_gcd.  m' divides a1 and c1, so
-    # gcd(m', a1/m', c1/m') is u_gcd's gcd(gcd(a1, c1)/m', m'), with the
-    # small operand first; at m' = 1 it is 1 after one step.  The check
-    # keeps its own form, which stays right on a trace whose m' does not
-    # divide a1 and c1.
-    for u in range(m_p):
-        a1 = a0 + d * m * u
-        c1 = c0 - b * m * u
-        if math.gcd(m_p, a1 // m_p, c1 // m_p) == 1:
-            break
+        # u-step, for m' > 1 only: the smallest u leaving gcd(a1, c1) with
+        # m'-part exactly m'.  The proof's CRT choice (u ≡ 0 or 1 mod each
+        # prime of m') is below rad(m'), so the search stops below m'; one
+        # that ran out would leave the last u, which _row_checks fails as
+        # u_gcd.  m' divides a1 and c1, so gcd(m', a1/m', c1/m') is u_gcd's
+        # gcd(gcd(a1, c1)/m', m'), with the small operand first.  The check
+        # keeps its own form, which stays right on a trace whose m' does not
+        # divide a1 and c1.
+        for u in range(m_p):
+            a1 = a0 + d * m * u
+            c1 = c0 - b * m * u
+            if math.gcd(m_p, a1 // m_p, c1 // m_p) == 1:
+                break
 
     # v-step: the smallest v with gcd(a1, c1 + m*m'*v) = m'.  The proof's CRT
     # choice (c' ≡ 1 mod each prime of a1 outside m) is below the product of
     # those primes, so the search stops by v = a1; one that ran out would
-    # leave v = a1, which _row_checks fails as gcd_final.
+    # leave v = a1, which _row_checks fails as gcd_final.  A wrong m' can
+    # leave no v to find (m' not dividing a1, say), so on a miss at v = 0
+    # the search stops unless m' is gcd(a, c, m), and _row_checks names it.
     a_p = a1
     for v in range(a1 + 1):
         c_p = c1 + m * m_p * v
-        if math.gcd(a_p, c_p) == m_p:
+        if math.gcd(a_p, c_p) == m_p or (v == 0 and m_p != math.gcd(a, c, m)):
             break
 
     failed = _row_checks(
@@ -446,13 +458,15 @@ def _plan(
     # [1, m/delta] (the construction needs them positive) and m/delta, m' of
     # the reduced template (the one _row takes), and the reduced template's
     # far-window threshold, so that a target picks its window with one
-    # comparison.  m' = gcd(a, c, m) = gcd(a mod m, c mod m, m), so moving
-    # to the representatives leaves it as it is.
-    delta = math.gcd(a, b, c, d, m)
+    # comparison.  delta comes by way of g = gcd(a, c, m), and the reduced
+    # template's m' is g/delta: gcd(a/delta, c/delta, m/delta) = g/delta,
+    # and moving to the representatives mod m/delta leaves it as it is.
+    g = math.gcd(a, c, m)
+    delta = math.gcd(g, b, d)
     ra, rb, rc, rd, rm = a // delta, b // delta, c // delta, d // delta, m // delta
     ra, rb, rc, rd = ra % rm or rm, rb % rm or rm, rc % rm or rm, rd % rm or rm
     return (
-        delta, delta * m, a * b + c * d, ra, rb, rc, rd, rm, math.gcd(ra, rc, rm),
+        delta, delta * m, a * b + c * d, ra, rb, rc, rd, rm, g // delta,
         _far_from(rb, rc, rm),
     )
 

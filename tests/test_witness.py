@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import inspect
@@ -838,13 +839,14 @@ _M_PRIME_6_64_BIT = (
 
 @pytest.mark.parametrize(
     "template, calls",
-    [((3, 5, 2, 2, 19), 1), ((4, 2, 4, 3, 4), 2), (_M_PRIME_6_64_BIT, 2)],
+    [((3, 5, 2, 2, 19), 0), ((4, 2, 4, 3, 4), 2), (_M_PRIME_6_64_BIT, 2)],
     ids=["m_prime_1", "m_prime_4", "m_prime_6_64_bit"],
 )
 def test_cold_row_extended_gcd_calls(monkeypatch, template, calls):
-    # a new row takes the unit solve's Bezout pair of (gcd(b_r, d_r), m'),
-    # and the one of (b_r, d_r) only when m' > 1, for b_r, d_r the residues
-    # of b, d mod m', so no argument exceeds m'; the lift's inverse takes none
+    # a new row with m' = 1 takes no Bezout pair, its unit solution being
+    # (0, 0, 1); one with m' > 1 takes the pairs of (gcd(b_r, d_r), m') and
+    # (b_r, d_r), for b_r, d_r the residues of b, d mod m', so no argument
+    # exceeds m'; the lift's inverse takes none
     seen = []
     real = witness._bezout
 
@@ -860,7 +862,7 @@ def test_cold_row_extended_gcd_calls(monkeypatch, template, calls):
     assert verify_witness(inst, w)
     assert witness._row.cache_info().misses == 1
     assert len(seen) == calls, seen
-    assert max(map(max, seen)) <= trace.m_prime, seen
+    assert all(max(pair) <= trace.m_prime for pair in seen), seen
 
 
 def _grid_templates(top):
@@ -931,6 +933,53 @@ def test_row_refuses_a_wrong_m_prime():
             names.add("m_prime")
     assert names == {"gcd", "m_prime"}
     assert witness._row.cache_info().currsize == 0
+
+
+class _GcdBudget:
+    # Stands in for witness's math module: math itself, except that gcd
+    # fails the test once it has been called `calls` times, so a search
+    # that would not stop fails in place of hanging.
+    def __init__(self, calls):
+        self.left = calls
+
+    def gcd(self, *args):
+        self.left -= 1
+        assert self.left >= 0, "gcd call budget spent"
+        return math.gcd(*args)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+@pytest.mark.parametrize("m_p", [1, 2, 3, 5, 7])
+def test_row_refuses_a_wrong_m_prime_on_a_64_bit_template(monkeypatch, m_p):
+    # The template's m' is 6.  Handed m_p = 1, 2 or 3, every gcd(a', c') is
+    # a multiple of 6, so no v gives m_p and the v-step could run about 2**63
+    # times; so could m_p = 5 or 7 where it does not divide a1.  The search
+    # stops after v = 0, and the row checks name m_prime.  Each call gets
+    # 1,000 gcds; nothing is cached.
+    a, b, c, d, m = _M_PRIME_6_64_BIT
+    assert math.gcd(a, c, m) == 6
+    witness._row.cache_clear()
+    for far in (False, True):
+        monkeypatch.setattr(witness, "math", _GcdBudget(1000))
+        with pytest.raises(InternalInvariantError) as err:
+            witness._row(a, b, c, d, m, m_p, 0, far)
+        assert str(err.value).startswith("row invariants violated: ['m_prime'"), err
+    assert witness._row.cache_info().currsize == 0
+
+
+def test_a_bool_template_leaves_plain_ints_in_the_row():
+    # The one-sided plan holds the caller's values, True among them, and
+    # _row's cache does not tell True from 1, so a pair solve of the same
+    # template can read the row a bool template built.  Its trace holds
+    # plain ints.
+    for m in (1, 2, 3):
+        witness._row.cache_clear()
+        n_target = 2 + 40 * m
+        solve_progression(Instance(True, 1, True, 1, m, n_target))
+        trace = solve_class(Instance(1, 1, 1, 1, m, n_target))[1]
+        assert [type(v) for v in dataclasses.astuple(trace)[1:]] == [int] * 20
 
 
 def _grid_outputs(instances):
@@ -1077,6 +1126,44 @@ def test_plan_cache_is_bounded_and_caches_no_refusal():
     for _ in range(3):
         with pytest.raises(ValueError, match="solve_dilated"):
             solve_class(inst)
+
+
+def test_plan_m_prime_is_the_reduced_templates_gcd():
+    # The plan takes m' as gcd(a, c, m)/delta; it is gcd(ra, rc, rm) of the
+    # representatives it holds, and delta is gcd(a, b, c, d, m).
+    templates = [
+        (a, b, c, d, m)
+        for m in range(1, 7)
+        for a, b, c, d in itertools.product(range(1, m + 1), repeat=4)
+    ]
+    rng = random.Random(29)
+    for _ in range(600):
+        m = rng.randint(1, 12)
+        templates.append(tuple(
+            rng.choice((0, -rng.randint(1, 3 * m), m * rng.randint(-3, 3),
+                        rng.randint(1, m)))
+            for _ in range(4)
+        ) + (m,))
+    for bits in (64, 128, 256, 512):
+        for _ in range(40):
+            f, g = rng.choice((1, 2, 6, rng.randint(2, 1 << 16))), rng.choice((1, 3, 10))
+            m = f * g * (rng.getrandbits(bits - 1) | (1 << (bits - 1)))
+            a, c = (f * g * rng.randint(-m, m) for _ in range(2))
+            b, d = (f * rng.randint(-m, m) for _ in range(2))
+            templates.append((a, b, c, d, m))
+    seen = collections.Counter()
+    for a, b, c, d, m in templates:
+        plan = witness._plan(a, b, c, d, m)
+        delta, ra, rc, rm, m_p = plan[0], plan[3], plan[5], plan[7], plan[8]
+        assert delta == math.gcd(a, b, c, d, m), (a, b, c, d, m)
+        assert m_p == math.gcd(ra, rc, rm), (a, b, c, d, m)
+        seen.update(
+            dilated=delta > 1, m_prime_and_delta=delta > 1 and m_p > 1,
+            zero=0 in (a, b, c, d), negative=min(a, b, c, d) < 0,
+            multiple_of_m=m > 1 and any(v and v % m == 0 for v in (a, b, c, d)),
+        )
+    kinds = ("dilated", "m_prime_and_delta", "zero", "negative", "multiple_of_m")
+    assert min(seen[kind] for kind in kinds) > 100, seen
 
 
 # ---------------------------------------------------------------- solve_dilated
