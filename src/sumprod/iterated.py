@@ -68,6 +68,15 @@ class IteratedWitness:
 
 @dataclass(frozen=True)
 class IteratedResult:
+    """Outcome of solve_iterated on one target.
+
+    status is "witness" (witness holds a decomposition), "not-member" (N is
+    not in the sum of product classes; witness is None) or
+    "unsupported-shape" (a shape, or a pair-led spec with
+    gcd(a11, a12, a21, a22, m) > 1, that solve_iterated does not decide;
+    witness is None and no verdict is given).
+    """
+
     status: str  # WITNESS | NOT_MEMBER | UNSUPPORTED_SHAPE
     witness: Optional[IteratedWitness]
 

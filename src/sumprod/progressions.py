@@ -53,6 +53,15 @@ class ThresholdReport:
 
 @dataclass
 class ProgressionResult:
+    """Outcome of solve_progression on one target, with the template's
+    ThresholdReport.
+
+    status is "witness" (witness holds a one-sided decomposition),
+    "not-member" (N is not in P_m(ab+cd); witness is None) or
+    "below-threshold-failure" (N is a member below N0 whose constructed
+    lift has d' < d; witness is None).
+    """
+
     status: str  # WITNESS | NOT_MEMBER | BELOW_THRESHOLD_FAILURE
     witness: Optional[Witness]
     threshold: ThresholdReport

@@ -19,8 +19,10 @@ ell*gcd(a, c), the two-coin (Sylvester/Frobenius) problem.  All of it is
 exact arithmetic on plain ints, with no floating point.
 x' lies in [0, m' - 1].  y' lies in the far window [b*m, b*m + m' - 1]
 when N >= m*c*(c + b*m*m), and else in the near window
-[b*(m' - 1), b*(m' - 1) + m' - 1].  Both keep c1 >= c; the near window
-makes c', and so the certificate, smaller on targets below that size.
+[b*u, b*u + m' - 1] of the u the u-step takes.  The u-step runs first: its
+test reads y' only mod m', since moving y' by m' moves c1/m' by m and every
+prime of m' divides m.  Both windows keep c1 >= c; the near window makes
+c', and so the certificate, smaller on targets below that size.
 Every step before the lift, and that inverse, depends on the target only
 through k mod m' and the window, so it is built once per (template,
 k mod m', window) row and cached.
@@ -195,9 +197,12 @@ def verify_witness(inst: Instance, w: Witness) -> bool:
 
 
 def _component_box(a: int, b: int, c: int, d: int, m: int) -> tuple[int, int]:
-    # The proof's bounds a' <= a_hi and c' <= c_hi on the pipeline's (a', c').
+    # The proof's bounds a' <= a_hi and c' <= c_hi on the pipeline's (a', c'):
+    # a + (d + 1)*m^2 and c + (a + b + 1)*m^2 + (d + 1)*m^4, in three
+    # products.
     mm = m * m
-    return a + (d + 1) * mm, c + (a + b + 1) * mm + (d + 1) * mm * mm
+    dmm = (d + 1) * mm
+    return a + dmm, c + (a + b + 1 + dmm) * mm
 
 
 def _far_from(b: int, c: int, m: int) -> int:
@@ -208,11 +213,11 @@ def _far_from(b: int, c: int, m: int) -> int:
     return m * c * (c + b * m * m)
 
 
-def _y_low(b: int, m: int, mp: int, far: bool) -> int:
-    # The low end of y''s window of m' values, far or near.  Either keeps
-    # c1 = c0 - b*m*u >= c for every u <= m' - 1, and keeps c' inside
-    # _component_box.
-    return b * m if far else b * (mp - 1)
+def _y_low(b: int, m: int, u: int, far: bool) -> int:
+    # The low end of y''s window of m' values, far or near, for the u the
+    # u-step took.  Either keeps c1 = c0 - b*m*u = c + m*(y' - b*u) >= c
+    # (the far one because u < m' <= m), and keeps c' inside _component_box.
+    return b * m if far else b * u
 
 
 def _row_checks(
@@ -223,7 +228,7 @@ def _row_checks(
     # The names of the failed invariants that depend on the template, k mod
     # m' and the window alone, in evaluation order.
     a_hi, c_hi = _component_box(a, b, c, d, m)
-    y_lo = _y_low(b, m, mp, far)
+    y_lo = _y_low(b, m, u, far)
     failed = []
     if not mp == math.gcd(a, c, m):
         failed.append("m_prime")
@@ -370,20 +375,22 @@ def _row(
     # lift's data (a'/m', c'/m', inverse of a'/m' mod c'/m').  m_p is the
     # plan's m' = gcd(a, c, m), which _row_checks verifies after the steps.
     # At m' = 1 every congruence mod m' holds, so the steps before the v-step
-    # have their closed form: the unit solution (0, 0, 1), x' = 0, y' the low
-    # end of its window, and u = 0.  Otherwise only x and y mod m' reach the
+    # have their closed form: the unit solution (0, 0, 1), x' = 0, u = 0 and
+    # y' the low end of its window.  Otherwise only x and y mod m' reach the
     # row, so (x1, y1) comes from the Bezout pairs of (gcd(b_r, d_r), m') and
     # (b_r, d_r), for b_r, d_r the residues of b, d in [1, m'], which
     # gcd(b_r, d_r, m') = gcd(b, d, m') = 1 allows; then
     # b*x1 + d*y1 ≡ 1 (mod m'), and z1 makes it exact.  So k*(x1, y1, z1)
-    # solves b*x + d*y + m'*z = k, and x', y' are read off k_res*(x1, y1)
-    # into [0, m' - 1] and the y' window.
+    # solves b*x + d*y + m'*z = k, x' is read off k_res*x1 into [0, m' - 1],
+    # the u-step runs on y' ≡ k_res*y1 (mod m'), and y' goes into the window
+    # of the u it took.
     if m_p == 1:
         x1, y1, z1 = 0, 0, 1
-        x_p, y_p = 0, _y_low(b, m, 1, far)
+        x_p, u = 0, 0
+        y_p = _y_low(b, m, u, far)
         # a + 0, not a: a one-sided caller's True enters the row as 1
         a0, c0 = a + 0, c + m * y_p
-        u, a1, c1 = 0, a0, c0
+        a1, c1 = a0, c0
     else:
         b_r, d_r = b % m_p or m_p, d % m_p or m_p
         g, s2 = _bezout(math.gcd(b_r, d_r), m_p)[:2]
@@ -394,11 +401,9 @@ def _row(
         s1, t1 = _bezout(b_r, d_r)[1:] if s2 else (0, 0)
         x1, y1 = s1 * s2, t1 * s2
         z1 = (1 - b * x1 - d * y1) // m_p
-        x_p = k_res * x1 % m_p
-        y_lo = _y_low(b, m, m_p, far)
-        y_p = y_lo + (k_res * y1 - y_lo) % m_p
+        x_p, y_r = k_res * x1 % m_p, k_res * y1 % m_p
         a0 = a + m * x_p
-        c0 = c + m * y_p
+        c_r = c + m * y_r
 
         # u-step, for m' > 1 only: the smallest u leaving gcd(a1, c1) with
         # m'-part exactly m'.  The proof's CRT choice (u ≡ 0 or 1 mod each
@@ -407,12 +412,17 @@ def _row(
         # u_gcd.  m' divides a1 and c1, so gcd(m', a1/m', c1/m') is u_gcd's
         # gcd(gcd(a1, c1)/m', m'), with the small operand first.  The check
         # keeps its own form, which stays right on a trace whose m' does not
-        # divide a1 and c1.
+        # divide a1 and c1.  The search runs on y' = y_r: moving y' by m'*t
+        # moves c1/m' by m*t, and every prime of m' divides m, so every y' of
+        # the class gives the same u.
         for u in range(m_p):
             a1 = a0 + d * m * u
-            c1 = c0 - b * m * u
-            if math.gcd(m_p, a1 // m_p, c1 // m_p) == 1:
+            if math.gcd(m_p, a1 // m_p, (c_r - b * m * u) // m_p) == 1:
                 break
+        y_lo = _y_low(b, m, u, far)
+        y_p = y_lo + (y_r - y_lo) % m_p
+        c0 = c + m * y_p
+        c1 = c0 - b * m * u
 
     # v-step: the smallest v with gcd(a1, c1 + m*m'*v) = m'.  The proof's CRT
     # choice (c' ≡ 1 mod each prime of a1 outside m) is below the product of
@@ -420,10 +430,14 @@ def _row(
     # leave v = a1, which _row_checks fails as gcd_final.  A wrong m' can
     # leave no v to find (m' not dividing a1, say), so on a miss at v = 0
     # the search stops unless m' is gcd(a, c, m), and _row_checks names it.
+    # That gcd is gcd(gcd(a1, c1), m), on a small first operand: a1 ≡ a and
+    # c1 ≡ c (mod m).
     a_p = a1
+    mmp = m * m_p
     for v in range(a1 + 1):
-        c_p = c1 + m * m_p * v
-        if math.gcd(a_p, c_p) == m_p or (v == 0 and m_p != math.gcd(a, c, m)):
+        c_p = c1 + mmp * v
+        g = math.gcd(a_p, c_p)
+        if g == m_p or (v == 0 and m_p != math.gcd(g, m)):
             break
 
     failed = _row_checks(
@@ -595,10 +609,8 @@ def solve_dilated(inst: Instance) -> Optional[tuple[Witness, int]]:
     cached template and row then pays the residue test, the lift, the 8
     target checks and one certificate check.
     """
-    got = _solve(
-        inst.a, inst.b, inst.c, inst.d, inst.m, inst.N,
-        _plan(inst.a, inst.b, inst.c, inst.d, inst.m), False,
-    )
+    a, b, c, d, m = inst.a, inst.b, inst.c, inst.d, inst.m
+    got = _solve(a, b, c, d, m, inst.N, _plan(a, b, c, d, m), False)
     return None if got is None else got[:2]
 
 

@@ -1,7 +1,8 @@
 """Certificate sizes: how long the pair pipeline's witnesses are.
 
 The y' window is chosen per target: the far window [b*m, b*m + m' - 1] when
-N >= m*c*(c + b*m*m), else the near window [b*(m' - 1), b*(m' - 1) + m' - 1].
+N >= m*c*(c + b*m*m), else the near window [b*u, b*u + m' - 1] of the u the
+u-step takes.
 These tests bound the certificates that rule gives on large random moduli,
 and hold every small target set's median at or below its value before the
 rule, when the far window was used for every target.
@@ -37,8 +38,8 @@ def test_random_certificates_about_the_size_of_n():
     # Generated like perfbench's random_bits: a modulus of exactly `bits`
     # bits, templates in [1, m], and N = ab + cd + t*delta*m with t of
     # `bits` bits.  At m' = 1 the certificate is at most 4 bits longer than
-    # N.  At m' > 1 the u-step needs y' >= b*(m' - 1), so c' can reach about
-    # b*m*m' and the bound grows by the bits of m/delta and of m'.
+    # N.  At m' > 1 the bound grows by the bits of m/delta and of m', a
+    # margin for the u- and v-steps, which move c' above c.
     rng = random.Random(7)
     rows = {1: 0, 2: 0}
     for bits in (64, 128, 256, 512):
@@ -99,4 +100,24 @@ def test_small_certificates_do_not_grow():
                 else:
                     one_sided.append(cert_bits(res.witness))
     assert statistics.median(one_sided) <= 9
-    assert failures == 82
+    assert failures == 77
+
+
+def test_m_prime_above_1_certificates_about_the_size_of_n():
+    # 600 random_bits-style instances with m' > 1: 64-bit moduli, templates
+    # in [1, m] and t of 64 bits, so N is about m^2 and the near window is
+    # taken.  y' needs room only for the u the u-step takes, so c1 exceeds
+    # c by at most m*(m' - 1), c' stays about c, and the certificate is
+    # about as long as N's 128 bits.
+    rng = random.Random(30)
+    sizes = []
+    while len(sizes) < 600:
+        m = rng.getrandbits(63) | (1 << 63)
+        a, b, c, d = (rng.randint(1, m) for _ in range(4))
+        t = rng.getrandbits(64)
+        if witness._plan(a, b, c, d, m)[8] == 1:
+            continue
+        n_target = a * b + c * d + t * math.gcd(a, b, c, d, m) * m
+        w, _ = solve_dilated(Instance(a, b, c, d, m, n_target))
+        sizes.append(cert_bits(w))
+    assert statistics.median(sizes) <= 130

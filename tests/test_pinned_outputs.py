@@ -15,9 +15,9 @@ import random
 from sumprod import Instance, solve_progression
 from sumprod import witness
 
-DILATED_DIGEST = "121a55a2e0719901f38f1b4bae58e2a6b3296b3fd4e666a2d0aa4fa6db3a6642"
-PROGRESSION_DIGEST = "24d554b5d287a45f129d0ef81e08c8af7d3d36857b215133192c484431a9f245"
-LARGE_MODULI_DIGEST = "3b0e1480be3a5ac3bc254bad7f77aa7f458db90533d96ac633af04fa46ac0591"
+DILATED_DIGEST = "f8d06eea71ba21f197502640d0e4329f94f910942e52b84624b05910fdcf331f"
+PROGRESSION_DIGEST = "419ac7d0a0407659b5a4c4083904a54dc1676b87c412c9af07518051e873bc26"
+LARGE_MODULI_DIGEST = "fa7e3951ef5df59ff2e9bb8e378a7bf381ca7604e66cc9de1a86d10f1c69fb8d"
 M_PRIME_1_DIGEST = "222026dc8ab2e707a35f29fd69c9a1ee4b4884845a686f80d079a4c7f822e252"
 
 

@@ -297,7 +297,7 @@ def test_trace_invariants_reported_on_tampering():
 
 
 # One single-field tamper per check of validate_trace, on the trace of
-# Instance(4, 2, 4, 3, 4, 8): m' = 4, u = 1, a' = 28, c' = 32 (box 68, 1140).
+# Instance(4, 2, 4, 3, 4, 8): m' = 4, u = 1, a' = 28, c' = 16 (box 68, 1140).
 _TAMPERS = {
     "m_prime": lambda t: {"m_prime": 2 * t.m_prime},
     "k": lambda t: {"k": t.k + 1},
@@ -311,7 +311,7 @@ _TAMPERS = {
     "u_window": lambda t: {"u": t.m_prime},
     "a1": lambda t: {"a1": t.a1 + 1},
     "c1": lambda t: {"c1": t.c1 + 1},
-    # the u = 0 row: gcd(a0, c0) = 16 keeps a factor 2 of m' beyond m'
+    # gcd(a0, c1) = 16 keeps a factor 2 of m' beyond m'
     "u_gcd": lambda t: {"a1": t.a0},
     "v_window": lambda t: {"v": -1},
     "a_prime": lambda t: {"a_prime": t.a_prime + 1},
@@ -360,18 +360,21 @@ def test_trace_check_reported_by_name(name):
 # ---------------------------------------------------------------- y' window
 
 @pytest.mark.parametrize(
-    "n_target, far", [(572, False), (576, True)], ids=["near", "far"]
+    "n_target, far", [(568, False), (576, True)], ids=["near", "far"]
 )
 def test_y_prime_window_is_chosen_by_target_size(n_target, far):
     # Template (4, 2, 4, 3, 4): m' = 4, and the far window starts at N =
-    # m*c*(c + b*m*m) = 576.  The near window is [6, 9] and the far one
-    # [8, 11], so each one-outside y' below lies in the other window, and
-    # validate_trace still refuses it: it reads the window off the trace's N.
+    # m*c*(c + b*m*m) = 576.  At both targets the u-step takes u = 1, so the
+    # near window is [b*u, b*u + 3] = [2, 5] and the far one [b*m, b*m + 3]
+    # = [8, 11].  validate_trace reads the window off the trace's N and u,
+    # and refuses a y' one outside either end of it, or the y' of the same
+    # class in the other window.
     assert witness._far_from(2, 4, 4) == 576
     _, trace = solve_class(Instance(4, 2, 4, 3, 4, n_target))
-    low = 8 if far else 6
-    assert trace.m_prime == 4 and low <= trace.y_prime <= low + 3
-    for y_prime in (low - 1, low + 4):
+    low, other = (8, 2) if far else (2, 8)
+    assert (trace.m_prime, trace.u) == (4, 1)
+    assert low <= trace.y_prime <= low + 3
+    for y_prime in (low - 1, low + 4, other + (trace.y_prime - other) % 4):
         assert "'y_prime_window'" in _violations(trace, y_prime=y_prime)
 
 
@@ -425,12 +428,12 @@ def test_invariant_error_texts_pinned(monkeypatch):
     with pytest.raises(InternalInvariantError) as err:
         validate_trace(dataclasses.replace(trace, **_TAMPERS["m_prime"](trace)))
     assert str(err.value) == (
-        "trace invariants violated: ['m_prime', 'y_prime_window', 'u_gcd', "
-        "'gcd_final', 'eq_B_y', 'congruence_mm', 'ell', 'lift']; "
+        "trace invariants violated: ['m_prime', 'u_gcd', 'gcd_final', "
+        "'eq_B_y', 'ell', 'lift', 'r_window']; "
         "trace=WitnessTrace(instance=Instance("
         "a=4, b=2, c=4, d=3, m=4, N=8), m_prime=8, k=-3, x=3, y=-3, z=0, "
-        "x_prime=3, y_prime=9, q_x=0, q_y=-3, a0=16, c0=40, u=1, a1=28, c1=32, "
-        "v=0, a_prime=28, c_prime=32, ell=-9, r=1, s=-2)"
+        "x_prime=3, y_prime=5, q_x=0, q_y=-2, a0=16, c0=24, u=1, a1=28, c1=16, "
+        "v=0, a_prime=28, c_prime=16, ell=-6, r=2, s=-5)"
     )
 
     inst = Instance(3, 5, 2, 2, 19, 152)
@@ -916,6 +919,55 @@ def test_unit_solution_solves_the_unit_equation():
     assert zero_b > 0 and zero_d > 0
 
 
+def _u_step(a0, c0, b, d, m, m_p):
+    # the u-step on its own, with u_gcd's test: the least u in [0, m') that
+    # leaves gcd(a1, c1) with m'-part exactly m'
+    return next(
+        u for u in range(m_p)
+        if math.gcd(math.gcd(a0 + d * m * u, c0 - b * m * u) // m_p, m_p) == 1
+    )
+
+
+def _m_prime_rows():
+    # (template, m', k mod m', far, row) for every m' > 1 row of the m <= 6
+    # grid, in both windows, and one row per window of each seeded large
+    # template
+    for a, b, c, d, m in _grid_templates(6):
+        m_p = math.gcd(a, c, m)
+        if m_p > 1:
+            for k_res, far in itertools.product(range(m_p), (False, True)):
+                yield (a, b, c, d, m), m_p, k_res, far, witness._row(
+                    a, b, c, d, m, m_p, k_res, far
+                )
+    rng = random.Random(30)
+    for a, b, c, d, m in _large_m_prime_templates():
+        m_p = math.gcd(a, c, m)
+        k_res = rng.randrange(m_p)
+        for far in (False, True):
+            yield (a, b, c, d, m), m_p, k_res, far, witness._row(
+                a, b, c, d, m, m_p, k_res, far
+            )
+
+
+def test_near_window_is_placed_by_the_u_the_u_step_takes():
+    # The u-step's test reads y' only mod m': moving y' by m'*t moves c1/m'
+    # by m*t, and every prime of m' divides m.  So the u-step runs first, and
+    # the near window puts y' at the least value >= b*u of its class
+    # k*y1 mod m'.
+    near = large = 0
+    for (a, b, c, d, m), m_p, k_res, far, row in _m_prime_rows():
+        y1, y_p, (a0, _, u) = row[0][1], row[1][1], row[2][:3]
+        key = (a, b, c, d, m, m_p, k_res, far)
+        assert (y_p - k_res * y1) % m_p == 0, key
+        if not far:
+            assert b * u <= y_p < b * u + m_p, key
+            near += 1
+        for t in range(-2, 3):
+            assert _u_step(a0, c + m * (y_p + m_p * t), b, d, m, m_p) == u, key
+        large += m.bit_length() >= 64
+    assert near > 1000 and large == 240
+
+
 def test_row_refuses_a_wrong_m_prime():
     # handed 2*m' in place of the plan's m', a row fails its m_prime check,
     # or the unit solve's gcd, and is not cached
@@ -1047,8 +1099,9 @@ def _plan_sample():
 # The sample's _solve(inst, True) results, hashed as in
 # tests/test_pinned_outputs.py.  Taken from the solver before it had plans,
 # and retaken when the y' window came to be chosen by target size and when
-# the unit solve moved to b and d mod m'.
-_PLAN_SAMPLE_DIGEST = "fc469bb3815a923c6edf1b2b25ec23a00e28c4382863bc037f0681da8b59854a"
+# the unit solve moved to b and d mod m', and when the near window came to
+# start at b*u.
+_PLAN_SAMPLE_DIGEST = "cf119ec6de665778bb0f64faa12b4b68a62288ff5e7515d93b4ce42d7544b342"
 
 
 def _solvers(inst):
