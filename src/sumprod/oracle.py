@@ -555,9 +555,10 @@ def strictness_demo(scan_bound: int = 1000) -> StrictnessReport:
     indices (one slice store per row, about 2*sqrt(scan_bound/19) rows) and
     their primes from one sieve of Eratosthenes up to scan_bound, so time
     and memory grow about linearly in scan_bound.  A scan_bound above 10**7
-    is refused before any work.
+    is refused before any work, and a non-integral one raises TypeError.
     """
-    if scan_bound > 10**7:
+    # operator.index refuses a float, whose clamp below would scan nothing.
+    if index(scan_bound) > 10**7:
         raise ValueError(f"scan_bound must be <= 10**7, got {scan_bound}")
     r15 = CongruenceClass(15, 19)
     r3 = CongruenceClass(3, 19)

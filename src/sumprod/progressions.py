@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import index
 from typing import Optional
 
 from .witness import (
@@ -117,14 +118,17 @@ def solve_progression(inst: Instance) -> ProgressionResult:
     rather than not-member.
 
     The pair theorem's construction runs here on the template as given, with
-    no division by delta and no move to representatives: the same _solve,
-    with the same residue test, target checks and certificate check, on a
-    plan built by witness._plan_as_given.  A target below ab + cd is refused
+    no division by delta and no move to representatives: the same untraced
+    _solve, with the same residue test and certificate check, on a plan
+    built by witness._plan_as_given.  A target below ab + cd is refused
     before it; above, _solve's residue test mod m decides membership.  The
-    template's checks, its ThresholdReport and that plan are computed once
-    per template (the last 64 templates are kept), and its results share
-    the report; each target then costs one cache lookup and one solve,
-    which builds no WitnessTrace.
+    certificate check covers the pair decomposition alone, so the returned
+    witness is also checked against its template: a' >= a, b' >= b and
+    c' >= c are theorems of the construction, and d' >= d decides
+    below-threshold-failure.  The template's checks, its ThresholdReport and
+    that plan are computed once per template (the last 64 templates are
+    kept), and its results share the report; each target then costs one
+    cache lookup and one solve, which builds no WitnessTrace.
     """
     a, b, c, d, m, N = inst.a, inst.b, inst.c, inst.d, inst.m, inst.N
     report, plan = _plan(a, b, c, d, m)
@@ -137,9 +141,16 @@ def solve_progression(inst: Instance) -> ProgressionResult:
     if N < base or (got := _solve(a, b, c, d, m, N, plan, False)) is None:
         return ProgressionResult(NOT_MEMBER, None, report)
     w = got[0]
-    # d' >= d is the one bound _solve leaves open: a' >= a and c' >= c are
-    # the row checks ineq2_a and ineq2_c, and b' = b + m*r >= b is the
-    # target check r_window.
+    # _solve certifies a pair decomposition, not a one-sided one.  a' >= a
+    # and c' >= c hold because (a', c') lies in the threshold's box, and
+    # b' = b + m*r >= b because the lift takes the least r >= 0; a fault
+    # there would leave a valid pair certificate, so the bounds are checked
+    # on the witness itself.  d' >= d is the one bound the construction
+    # leaves open.
+    if w.a_prime < a or w.b_prime < b or w.c_prime < c:
+        raise InternalInvariantError(
+            f"one-sided witness below its template: {w!r} for {inst!r}"
+        )
     if w.d_prime < d:
         if N >= report.N0:
             raise InternalInvariantError(
@@ -160,8 +171,12 @@ def exceptional_set(
     member indices t <= top = (cap - ab - cd) // m in O(sqrt(top/m) *
     log(top)) shifts of a top-bit integer: about 0.05 s at top = 2*10**5
     and at most about 0.9 s at 10**6 (CPython 3.11, 2-vCPU host).  More
-    than 10**6 members to scan (top + 1) is refused before any work.
+    than 10**6 members to scan (top + 1) is refused before any work.  A
+    non-integral value raises TypeError.
     """
+    # operator.index refuses a float or a Fraction cap before any work; the
+    # template's own values are refused by the plan's math.gcd.
+    index(cap)
     base = _plan(a, b, c, d, m)[1][2]  # ab + cd
     if cap < base:
         return []

@@ -26,29 +26,33 @@ c', and so the certificate, smaller on targets below that size.
 Every step before the lift, and that inverse, depends on the target only
 through k mod m' and the window, so it is built once per (template,
 k mod m', window) row and cached.
-Every trace field has an invariant that is a theorem.  The row's invariants
-are checked once, when the row is built; those that involve the target, and
-the certificate itself, are checked on every solve.  A violation is a bug,
-never an input condition, and raises InternalInvariantError naming the check.
+Every trace field has an invariant that is a theorem, and each is written
+once.  The row's 15 are checked once, when the row is built.  The 8 that
+involve the target are checked on traced solves and by validate_trace.  An
+untraced solve rests on the certificate check on the caller's values, which
+is what makes its answer right; when that check fails, it solves again,
+traced, so that the broken step is named.  A violation is a bug, never an
+input condition, and raises InternalInvariantError naming the check.
 
 Every solve, of the pair theorem and of the one-sided one, is one function,
 _solve, on the caller's plain ints: the residue test mod delta*m, N/delta^2,
-the row, the lift and its 8 target checks, one witness scaled by delta, and
-one certificate check against the caller's values.  It runs on a plan, what
-depends on the template alone (delta and delta*m, ab + cd, the template the
-pipeline runs on and its modulus, m', and the far window's threshold).  The
-pair theorem's plan, _plan, divides by delta = gcd(a, b, c, d, m) and moves
-to the representatives in [1, m/delta]; it is built once and kept for the
-last 64 templates.  The one-sided theorem's plan, _plan_as_given, keeps the
-template as given, which a one-sided decomposition cannot move; on a
-coprime template with entries in [1, m] the two plans are equal.
-progressions keeps it with the template's threshold.  Rows are kept for the
-last 64 rows.  The caller reads the plan and hands it to _solve, so the grid
-sweep reads it once for all of a template's targets.  A target whose plan
-and row are cached costs the plan lookup, the row lookup, the residue test,
-the lift, the 8 target checks and one certificate check.  Only solve_class
-and the CLI's witness --trace return the trace, so only they build one, and
-an Instance is built only for a returned trace or an error message.
+k, the row, the lift (and, traced, the trace and its 8 target checks), one
+witness scaled by delta, and one certificate check against the caller's
+values.  It runs on a plan, what depends on the template alone (delta and
+delta*m, ab + cd, the template the pipeline runs on and its modulus, m', and
+the far window's threshold).  The pair theorem's plan, _plan, divides by
+delta = gcd(a, b, c, d, m) and moves to the representatives in [1, m/delta];
+it is built once and kept for the last 64 templates.  The one-sided
+theorem's plan, _plan_as_given, keeps the template as given, which a
+one-sided decomposition cannot move; on a coprime template with entries in
+[1, m] the two plans are equal.  progressions keeps it with the template's
+threshold.  Rows are kept for the last 64 rows.  The caller reads the plan
+and hands it to _solve, so the grid sweep reads it once for all of a
+template's targets.  An untraced target whose plan and row are cached costs
+the plan lookup, the row lookup, the residue test, the lift and one
+certificate check.  Only solve_class and the CLI's witness --trace return
+the trace, so only they build one, and an Instance is built only for a
+returned trace or an error message.
 """
 
 from __future__ import annotations
@@ -271,8 +275,9 @@ def _target_checks(
     a_p: int, c_p: int, ell: int, r: int, s: int,
 ) -> list[str]:
     # The names of the failed invariants that involve the target, in
-    # evaluation order.  _solve, which runs every solve, writes the same
-    # checks out as one conjunction and calls this only to name a failure.
+    # evaluation order.  Only traced solves and validate_trace run them: an
+    # untraced solve rests on its certificate check, and when that fails it
+    # solves again traced, so that these name the broken step.
     mmp = m * mp
     rem = N - (a_p * b + c_p * d)
     failed = []
@@ -299,8 +304,10 @@ def validate_trace(trace: WitnessTrace) -> None:
     """Check every trace invariant; raise InternalInvariantError on failure.
 
     These are the intermediate claims of the existence proof.  A solve checks
-    the row half once, when it builds the row, and the target half on every
-    solve; this runs both halves on any trace.
+    the row half once, when it builds the row, and a traced solve the target
+    half before it builds its trace; an untraced solve builds no trace and
+    rests on its certificate check.  This runs both halves on any trace, a
+    trace whose row an untraced solve cached included.
     """
     t = trace
     i = t.instance
@@ -506,8 +513,10 @@ def _solve(
     # representatives, or the template as given), and scale the witness
     # back.  plan is _plan(a, b, c, d, m) or _plan_as_given(a, b, c, d, m),
     # read by the caller, so a caller with many targets of one template
-    # reads it once.  An Instance is built only for a returned trace or an
-    # error message: of the caller's values for the delta^2 and certificate
+    # reads it once.  Only a traced solve computes the unit solve scaled by
+    # k and its windows' quotients, builds the trace and runs the target
+    # checks.  An Instance is built only for a returned trace or an error
+    # message: of the caller's values for the delta^2 and certificate
     # checks, and of the instance the pipeline ran on for the trace and the
     # target checks.
     delta, dm, base, ra, rb, rc, rd, rm, m_p, far_from = plan
@@ -522,45 +531,34 @@ def _solve(
                 f"N not divisible by delta^2 for {Instance(a, b, c, d, m, N)!r}"
             )
         rN //= delta * delta
-    rbase = ra * rb + rc * rd
-    k = (rN - rbase) // rm
-    (x1, y1, z1), (x_p, y_p), steps, (big_a, big_c, inv) = _row(
+    k = (rN - (ra * rb + rc * rd)) // rm
+    unit, (x_p, y_p), steps, (big_a, big_c, inv) = _row(
         ra, rb, rc, rd, rm, m_p, k % m_p, rN >= far_from
     )
-    x, y, z = k * x1, k * y1, k * z1
-    q_x, q_y = (x - x_p) // m_p, (y - y_p) // m_p
     a_p, c_p = steps[6], steps[7]
     # The lift of (b, d): b' = b + m*r, d' = d + m*s with the least r >= 0,
     # which leaves the largest s.
-    mmp = rm * m_p
-    rem = rN - (a_p * rb + c_p * rd)
-    ell = rem // mmp
+    ell = (rN - (a_p * rb + c_p * rd)) // (rm * m_p)
     r, s = _least_r_lift(big_a, big_c, inv, ell)
-    # _row checked the row half.  The target half runs on every solve: the
-    # checks of _target_checks, in order, written out so that a passing
-    # solve makes no call.  The tests pin the two copies to each other.
-    if not (
-        rN == rbase + k * rm
-        and rb * x + rd * y + m_p * z == k
-        and x == q_x * m_p + x_p
-        and y == q_y * m_p + y_p
-        and rem % mmp == 0
-        and ell * mmp == rem
-        and a_p * r + c_p * s == ell * m_p
-        and 0 <= r < c_p // m_p
-    ):
+    trace = None
+    if traced:
+        # _row checked the row half; the target half runs here, on the
+        # values the trace holds, before the trace is built.
+        x, y, z = k * unit[0], k * unit[1], k * unit[2]
+        q_x, q_y = (x - x_p) // m_p, (y - y_p) // m_p
         failed = _target_checks(
             ra, rb, rc, rd, rm, rN, m_p, k, x, y, z, x_p, y_p, q_x, q_y,
             a_p, c_p, ell, r, s,
         )
-        raise InternalInvariantError(
-            f"target invariants violated: {failed}; "
-            f"{Instance(ra, rb, rc, rd, rm, rN)!r}"
+        if failed:
+            raise InternalInvariantError(
+                f"target invariants violated: {failed}; "
+                f"{Instance(ra, rb, rc, rd, rm, rN)!r}"
+            )
+        trace = WitnessTrace(
+            Instance(ra, rb, rc, rd, rm, rN),
+            m_p, k, x, y, z, x_p, y_p, q_x, q_y, *steps, ell, r, s,
         )
-    trace = WitnessTrace(
-        Instance(ra, rb, rc, rd, rm, rN),
-        m_p, k, x, y, z, x_p, y_p, q_x, q_y, *steps, ell, r, s,
-    ) if traced else None
     w = Witness(
         delta * a_p, delta * (rb + rm * r), delta * c_p, delta * (rd + rm * s)
     )
@@ -568,6 +566,10 @@ def _solve(
     # scales by delta^2, so this one check on the caller's values covers the
     # reduced solve.
     if not _certificate_ok(a, b, c, d, m, N, w):
+        if not traced:
+            # Solve again, traced, so that a target check names the broken
+            # step; it raises, with the text below if every check passes.
+            _solve(a, b, c, d, m, N, plan, True)
         raise InternalInvariantError(
             f"witness failed verification: {w!r} for {Instance(a, b, c, d, m, N)!r}"
         )
@@ -606,8 +608,11 @@ def solve_dilated(inst: Instance) -> Optional[tuple[Witness, int]]:
     window's threshold) is done once per template and kept for the last 64
     templates, and the pipeline up to the lift once per (template,
     k mod m', y' window) row, kept for the last 64 rows.  A target of a
-    cached template and row then pays the residue test, the lift, the 8
-    target checks and one certificate check.
+    cached template and row then pays the residue test, the lift and one
+    certificate check.  No trace is built, so the 8 target checks do not
+    run: the certificate check is what makes the answer right.  Only when
+    it fails is the target solved again, traced, so that the error names
+    the broken step.
     """
     a, b, c, d, m = inst.a, inst.b, inst.c, inst.d, inst.m
     got = _solve(a, b, c, d, m, inst.N, _plan(a, b, c, d, m), False)

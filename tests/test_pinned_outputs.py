@@ -126,6 +126,7 @@ def test_large_moduli_outputs_pinned():
     rows = []
     for inst in _large_moduli_instances():
         w, delta, trace = _solve(inst, True)
+        assert _solve(inst, False) == (w, delta, None), inst
         m_prime_above_1 += trace.m_prime > 1
         rows.append((dataclasses.astuple(w), delta, dataclasses.astuple(trace)))
     assert m_prime_above_1 == 338

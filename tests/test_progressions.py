@@ -6,12 +6,13 @@ import time
 import pytest
 
 import sumprod.oracle
-from sumprod import progressions
+from sumprod import progressions, witness
 from sumprod import (
     Instance,
     InternalInvariantError,
     exceptional_set,
     oracle_member_progression,
+    solve_dilated,
     solve_progression,
     threshold_N0,
     verify_witness,
@@ -140,6 +141,30 @@ def test_lift_that_misses_at_or_above_N0_raises(monkeypatch):
         "one-sided lift must succeed at N >= N0: "
         "Instance(a=1, b=1, c=1, d=2, m=1, N=4), N0=4"
     )
+
+
+def test_one_sided_bounds_checked_on_the_witness(monkeypatch):
+    # (r - C, s + A) is another lift of (b, d): a pair certificate that the
+    # untraced solve accepts, with b' = b + m*(r - C) < b.  Only the one-sided
+    # bounds, checked on the witness itself, refuse it.
+    real = witness._least_r_lift
+
+    def below(big_a, big_c, inv, ell):
+        r, s = real(big_a, big_c, inv, ell)
+        return r - big_c, s + big_a
+
+    monkeypatch.setattr(witness, "_least_r_lift", below)
+    inst = Instance(3, 5, 2, 2, 19, 152)
+    w, _ = solve_dilated(inst)
+    assert verify_witness(inst, w) and w.b_prime < inst.b
+    with pytest.raises(InternalInvariantError) as err:
+        solve_progression(inst)
+    assert str(err.value) == (
+        "one-sided witness below its template: "
+        "Witness(a_prime=3, b_prime=-14, c_prime=2, d_prime=97) "
+        "for Instance(a=3, b=5, c=2, d=2, m=19, N=152)"
+    )
+
 
 def test_consistency_with_oracle():
     # solver success implies oracle membership (soundness); oracle membership

@@ -24,11 +24,13 @@ from sumprod import (
     SubgroupWitness,
     Witness,
     WitnessTrace,
+    exceptional_set,
     oracle_member_class,
     solve_class,
     solve_dilated,
     solve_iterated,
     solve_progression,
+    strictness_demo,
     subgroup_witness,
     sylvester_nonneg,
     threshold_N0,
@@ -565,10 +567,36 @@ _UNTRACED_SOLVES = {
 }
 
 
+def _certified_witnesses(monkeypatch):
+    # The witnesses _solve's certificate check passes, with the instance it
+    # checked them on, in call order: what an untraced solver's answer is
+    # built from, whatever form the answer takes.
+    real, passed = witness._certificate_ok, []
+
+    def check(a, b, c, d, m, n_target, w):
+        ok = real(a, b, c, d, m, n_target, w)
+        if ok:
+            passed.append((Instance(a, b, c, d, m, n_target), w))
+        return ok
+
+    monkeypatch.setattr(witness, "_certificate_ok", check)
+    return passed
+
+
+def _sum_broken_lift(monkeypatch):
+    # s + 1 breaks a'b' + c'd' = N, so the certificate check fails
+    _wrap_lift(monkeypatch, lambda r, s, big_a, big_c: (r, s + 1))
+
+
 @pytest.mark.parametrize("name", sorted(_UNTRACED_SOLVES))
 def test_untraced_solves_run_the_target_checks(monkeypatch, name):
-    # no trace is built, not even to name a failure, yet every target check
-    # still runs on a cached row, and a failure is reported by name
+    # No trace is built and no target check runs on a passing untraced
+    # solve: it rests on its certificate check.  The off-window lift leaves
+    # the certificate valid, so only the traced solve names it; the
+    # untraced solve answers from a witness verify_witness accepts.  A
+    # change that breaks the sum fails the certificate check, and the
+    # untraced solve, solving again traced, names it, and the off-window
+    # change with it.  Every solve reads the one cached row.
     inst = Instance(3, 5, 2, 2, 19, 152)
     witness._row.cache_clear()
     solve_class(inst)
@@ -577,12 +605,30 @@ def test_untraced_solves_run_the_target_checks(monkeypatch, name):
         raise AssertionError("WitnessTrace built")
 
     monkeypatch.setattr(witness, "WitnessTrace", no_trace)
+    monkeypatch.setattr(witness, "_target_checks", no_trace)
     _UNTRACED_SOLVES[name](inst)
+    monkeypatch.undo()
     _off_window_lift(monkeypatch)
-    with pytest.raises(InternalInvariantError, match="'r_window'"):
+    with pytest.raises(InternalInvariantError) as err:
+        solve_class(inst)
+    assert str(err.value) == (
+        "target invariants violated: ['r_window']; "
+        "Instance(a=3, b=5, c=2, d=2, m=19, N=152)"
+    )
+    with monkeypatch.context() as patch:
+        passed = _certified_witnesses(patch)
         _UNTRACED_SOLVES[name](inst)
+    [(checked, w)] = passed
+    assert checked == inst and verify_witness(inst, w)
+    _sum_broken_lift(monkeypatch)
+    with pytest.raises(InternalInvariantError) as err:
+        _UNTRACED_SOLVES[name](inst)
+    assert str(err.value) == (
+        "target invariants violated: ['lift', 'r_window']; "
+        "Instance(a=3, b=5, c=2, d=2, m=19, N=152)"
+    )
     info = witness._row.cache_info()
-    assert (info.hits, info.misses) == (2, 1)
+    assert (info.hits, info.misses) == (5, 1)
 
 
 @pytest.mark.parametrize(
@@ -604,6 +650,26 @@ def test_traced_solves_return_a_valid_trace(inst):
     assert isinstance(trace, WitnessTrace)
     validate_trace(trace)
     assert _solve(inst, False) == (w, delta, None)
+
+
+def test_traced_and_untraced_solves_agree_on_the_m_le_6_grid():
+    # Every template in [1, m]^4 with m <= 6, delta = 1 and delta > 1, at 6
+    # steps either side of ab + cd.  Untraced solves run no target check, so
+    # the traced solve's trace must pass validate_trace and its (w, delta)
+    # must be the untraced solve's.
+    count = 0
+    for m in range(1, 7):
+        for a, b, c, d in itertools.product(range(1, m + 1), repeat=4):
+            plan = witness._plan(a, b, c, d, m)
+            for t in range(-6, 7):
+                n_target = a * b + c * d + t * plan[1]
+                w, delta, trace = witness._solve(a, b, c, d, m, n_target, plan, True)
+                validate_trace(trace)
+                assert witness._solve(a, b, c, d, m, n_target, plan, False) == (
+                    w, delta, None
+                ), (a, b, c, d, m, n_target)
+                count += 1
+    assert count == 13 * sum(m**4 for m in range(1, 7))
 
 
 def _wrap_row(monkeypatch, change):
@@ -628,20 +694,35 @@ def _other_unit_solution(unit, windows, steps, lift):
 
 
 def test_eq_A_fires_by_name_on_a_warm_plan(monkeypatch):
-    # at m' = 1 neither the windows nor the certificate read the unit
-    # solution, so only eq_A can catch the change, and every solver must
+    # At m' = 1 neither the windows nor the certificate read the unit
+    # solution, so only eq_A can catch the change: the traced solve names
+    # it, and the untraced solvers answer from a witness verify_witness
+    # accepts.  Once a change breaks the sum as well, every untraced solver
+    # names both.
     inst = Instance(3, 5, 2, 2, 19, 152)
-    solvers = [_UNTRACED_SOLVES[name] for name in sorted(_UNTRACED_SOLVES)]
-    solvers.append(solve_class)
-    for solve in solvers:
+    untraced = [_UNTRACED_SOLVES[name] for name in sorted(_UNTRACED_SOLVES)]
+    for solve in untraced + [solve_class]:
         solve(inst)
     plans = witness._plan.cache_info()
     _wrap_row(monkeypatch, _other_unit_solution)
-    for solve in solvers:
-        with pytest.raises(InternalInvariantError, match=r"violated: \['eq_A'\];"):
+    with pytest.raises(InternalInvariantError, match=r"violated: \['eq_A'\];"):
+        solve_class(inst)
+    with monkeypatch.context() as patch:
+        passed = _certified_witnesses(patch)
+        for solve in untraced:
             solve(inst)
-    # three of the four read the warm plan; solve_progression reads none
-    assert witness._plan.cache_info().hits == plans.hits + 3
+    assert len(passed) == len(untraced)
+    assert all(checked == inst and verify_witness(inst, w) for checked, w in passed)
+    _sum_broken_lift(monkeypatch)
+    for solve in untraced:
+        with pytest.raises(
+            InternalInvariantError, match=r"violated: \['eq_A', 'lift'\];"
+        ):
+            solve(inst)
+    # solve_class and two of the untraced solvers, twice, read the warm
+    # plan; solve_progression reads none, and a traced retry reuses the plan
+    # it was handed
+    assert witness._plan.cache_info().hits == plans.hits + 5
     assert witness._plan.cache_info().misses == plans.misses
 
 
@@ -674,14 +755,21 @@ def test_every_target_check_has_a_change():
     assert list(_TARGET_CHANGES) == _TARGET_CHECKS
 
 
+# The changes that leave the certificate valid: only a traced solve names
+# them, and an untraced one returns the certified witness.
+_CERTIFIED_CHANGES = ("eq_A", "eq_B_x", "eq_B_y", "r_window")
+
+
 @pytest.mark.parametrize("name", _TARGET_CHECKS)
 def test_both_forms_of_a_target_check_reject_its_change(monkeypatch, name):
-    # _solve evaluates the target checks as one conjunction and, only when
-    # it fails, names the failures with _target_checks, which validate_trace
-    # also uses.  The raise shows that the conjunction rejects the change,
-    # and its list that _target_checks rejects exactly the checks the change
-    # breaks.  The plan's step is 1, so every target clears the residue test
-    # and reaches the target checks, an off-residue one included.
+    # The two forms of a solve.  A traced _solve runs _target_checks before
+    # it builds its trace, and names exactly the checks the change breaks.
+    # An untraced _solve rests on its certificate check: on a change that
+    # breaks the certificate it solves again, traced, and raises the same
+    # names; on one that leaves the certificate valid it returns that
+    # witness, and a change that also breaks the sum (s + 1) is named along
+    # with it.  The plan's step is 1, so every target clears the residue
+    # test and reaches the target checks, an off-residue one included.
     a, b, c, d, m, n_target = 4, 2, 4, 3, 4, 8
     plan = witness._plan_as_given(a, b, c, d, m)
     plan = plan[:1] + (1,) + plan[2:]
@@ -696,6 +784,14 @@ def test_both_forms_of_a_target_check_reject_its_change(monkeypatch, name):
     else:
         _wrap_lift(monkeypatch, change)
     assert name in broken
+    with pytest.raises(InternalInvariantError) as err:
+        witness._solve(a, b, c, d, m, n_target, plan, True)
+    assert f"target invariants violated: {list(broken)};" in str(err.value)
+    if name in _CERTIFIED_CHANGES:
+        w, _, _ = witness._solve(a, b, c, d, m, n_target, plan, False)
+        assert verify_witness(Instance(a, b, c, d, m, n_target), w)
+        _sum_broken_lift(monkeypatch)
+        broken = [check for check in _TARGET_CHECKS if check in broken + ("lift",)]
     with pytest.raises(InternalInvariantError) as err:
         witness._solve(a, b, c, d, m, n_target, plan, False)
     assert f"target invariants violated: {list(broken)};" in str(err.value)
@@ -799,6 +895,30 @@ _NON_INTEGRAL = {
     "CongruenceClass.contains": (
         [lambda: CongruenceClass(15, 19).contains(53)],
         [lambda: CongruenceClass(15, 19).contains(53.0)],
+    ),
+    # Unrefused, a float cap below ab + cd answers [], a Fraction cap scans,
+    # and a float scan_bound below 0 answers a report.
+    "exceptional_set": (
+        [
+            lambda: exceptional_set(5, 5, 5, 5, 6, 284),
+            lambda: exceptional_set(2, 2, 2, 2, 3, 60),
+        ],
+        [
+            lambda: exceptional_set(5, 5, 5, 5, 6, 3.0),
+            lambda: exceptional_set(2, 2, 2, 2, 3, Fraction(60)),
+            lambda: exceptional_set(2.0, 2, 2, 2, 3, 60),
+        ],
+    ),
+    "strictness_demo": (
+        [lambda: strictness_demo(100), lambda: strictness_demo(-5)],
+        [lambda: strictness_demo(-5.0), lambda: strictness_demo(100.0)],
+    ),
+    "threshold_N0": (
+        [lambda: threshold_N0(1, 1, 1, 1, 2)],
+        [
+            lambda: threshold_N0(1.0, 1, 1, 1, 2),
+            lambda: threshold_N0(1, 1, 1, 1, Fraction(2)),
+        ],
     ),
 }
 
