@@ -125,10 +125,14 @@ def solve_progression(inst: Instance) -> ProgressionResult:
     certificate check covers the pair decomposition alone, so the returned
     witness is also checked against its template: a' >= a, b' >= b and
     c' >= c are theorems of the construction, and d' >= d decides
-    below-threshold-failure.  The template's checks, its ThresholdReport and
-    that plan are computed once per template (the last 64 templates are
-    kept), and its results share the report; each target then costs one
-    cache lookup and one solve, which builds no WitnessTrace.
+    below-threshold-failure, which is answered only on the lift's least r,
+    r = (b' - b)/m < c'/m'.  The proof-step checks that imply these bounds
+    run on traced solves only, so each is tested here, on the witness, and
+    one that fails raises InternalInvariantError.  The template's checks,
+    its ThresholdReport and that plan are computed once per template (the
+    last 64 templates are kept), and its results share the report; each
+    target then costs one cache lookup and one solve, which builds no
+    WitnessTrace.
     """
     a, b, c, d, m, N = inst.a, inst.b, inst.c, inst.d, inst.m, inst.N
     report, plan = _plan(a, b, c, d, m)
@@ -152,6 +156,14 @@ def solve_progression(inst: Instance) -> ProgressionResult:
             f"one-sided witness below its template: {w!r} for {inst!r}"
         )
     if w.d_prime < d:
+        # No one-sided lift exists for this (a', c') only if the lift took
+        # the least r >= 0, the r that leaves the largest s: r < c'/m', with
+        # r = (b' - b)/m.  Only a traced solve's r_window checks that, so it
+        # is checked here, on the witness, before d' < d is believed.
+        if w.b_prime - b >= m * (w.c_prime // plan[8]):
+            raise InternalInvariantError(
+                f"lift with d' < d does not take the least r: {w!r} for {inst!r}"
+            )
         if N >= report.N0:
             raise InternalInvariantError(
                 f"one-sided lift must succeed at N >= N0: {inst!r}, N0={report.N0}"

@@ -27,16 +27,20 @@ Every step before the lift, and that inverse, depends on the target only
 through k mod m' and the window, so it is built once per (template,
 k mod m', window) row and cached.
 Every trace field has an invariant that is a theorem, and each is written
-once.  The row's 15 are checked once, when the row is built.  The 8 that
-involve the target are checked on traced solves and by validate_trace.  An
-untraced solve rests on the certificate check on the caller's values, which
-is what makes its answer right; when that check fails, it solves again,
-traced, so that the broken step is named.  A violation is a bug, never an
-input condition, and raises InternalInvariantError naming the check.
+once.  All 23, the row's 15 and the 8 that involve the target, are checked
+on traced solves and by validate_trace; the row's 15 also run when _row's
+one guard fires, before the lift's inverse, on a gcd(a', c') that is not m'
+or an m' that does not divide m (a search that ran out, or a wrong m').
+An untraced solve runs none of them and rests on the certificate check on
+the caller's values, which is what makes its answer right; when that check
+fails, it solves again, traced, so that the broken step is named.  So a row
+that fails a check can be cached, and only a traced solve or a failed
+certificate reads it by step.  A violation is a bug, never an input
+condition, and raises InternalInvariantError naming the check.
 
 Every solve, of the pair theorem and of the one-sided one, is one function,
 _solve, on the caller's plain ints: the residue test mod delta*m, N/delta^2,
-k, the row, the lift (and, traced, the trace and its 8 target checks), one
+k, the row, the lift (and, traced, the trace and its 23 checks), one
 witness scaled by delta, and one certificate check against the caller's
 values.  It runs on a plan, what depends on the template alone (delta and
 delta*m, ab + cd, the template the pipeline runs on and its modulus, m', and
@@ -269,6 +273,20 @@ def _row_checks(
     return failed
 
 
+def _check_row(
+    a: int, b: int, c: int, d: int, m: int, mp: int, k_res: int, far: bool,
+    x_p: int, y_p: int, steps: tuple[int, ...],
+) -> None:
+    # Raise InternalInvariantError naming the row's failed invariants, if
+    # any, with the row's key: on a traced solve, and on _row's guard.
+    failed = _row_checks(a, b, c, d, m, mp, far, x_p, y_p, *steps)
+    if failed:
+        raise InternalInvariantError(
+            f"row invariants violated: {failed}; "
+            f"(a,b,c,d,m,k mod m')=({a},{b},{c},{d},{m},{k_res})"
+        )
+
+
 def _target_checks(
     a: int, b: int, c: int, d: int, m: int, N: int, mp: int,
     k: int, x: int, y: int, z: int, x_p: int, y_p: int, q_x: int, q_y: int,
@@ -303,11 +321,12 @@ def _target_checks(
 def validate_trace(trace: WitnessTrace) -> None:
     """Check every trace invariant; raise InternalInvariantError on failure.
 
-    These are the intermediate claims of the existence proof.  A solve checks
-    the row half once, when it builds the row, and a traced solve the target
-    half before it builds its trace; an untraced solve builds no trace and
-    rests on its certificate check.  This runs both halves on any trace, a
-    trace whose row an untraced solve cached included.
+    These are the intermediate claims of the existence proof.  A traced
+    solve checks both halves before it builds its trace, the target half
+    first; an untraced solve builds no trace, checks neither, and rests on
+    its certificate check, so a row it built and cached is unchecked.  This
+    runs both halves on any trace, one whose row an untraced solve cached
+    included.
     """
     t = trace
     i = t.instance
@@ -380,7 +399,10 @@ def _row(
     # _far_from(b, c, m)), as one group per proof stage in WitnessTrace
     # order: the unit solution, the windows, the u- and v-steps, and the
     # lift's data (a'/m', c'/m', inverse of a'/m' mod c'/m').  m_p is the
-    # plan's m' = gcd(a, c, m), which _row_checks verifies after the steps.
+    # plan's m' = gcd(a, c, m).  No row check runs here unless the guard
+    # after the v-step fires: a traced solve checks the row it reads, and an
+    # untraced one rests on its certificate, so a row that fails a check
+    # can be cached.
     # At m' = 1 every congruence mod m' holds, so the steps before the v-step
     # have their closed form: the unit solution (0, 0, 1), x' = 0, u = 0 and
     # y' the low end of its window.  Otherwise only x and y mod m' reach the
@@ -415,8 +437,9 @@ def _row(
         # u-step, for m' > 1 only: the smallest u leaving gcd(a1, c1) with
         # m'-part exactly m'.  The proof's CRT choice (u ≡ 0 or 1 mod each
         # prime of m') is below rad(m'), so the search stops below m'; one
-        # that ran out would leave the last u, which _row_checks fails as
-        # u_gcd.  m' divides a1 and c1, so gcd(m', a1/m', c1/m') is u_gcd's
+        # that ran out would leave a prime of m' in a1/m' and c1/m', which
+        # no v-step removes, so the guard names u_gcd (and gcd_final).  m'
+        # divides a1 and c1, so gcd(m', a1/m', c1/m') is u_gcd's
         # gcd(gcd(a1, c1)/m', m'), with the small operand first.  The check
         # keeps its own form, which stays right on a trace whose m' does not
         # divide a1 and c1.  The search runs on y' = y_r: moving y' by m'*t
@@ -434,11 +457,10 @@ def _row(
     # v-step: the smallest v with gcd(a1, c1 + m*m'*v) = m'.  The proof's CRT
     # choice (c' ≡ 1 mod each prime of a1 outside m) is below the product of
     # those primes, so the search stops by v = a1; one that ran out would
-    # leave v = a1, which _row_checks fails as gcd_final.  A wrong m' can
-    # leave no v to find (m' not dividing a1, say), so on a miss at v = 0
-    # the search stops unless m' is gcd(a, c, m), and _row_checks names it.
-    # That gcd is gcd(gcd(a1, c1), m), on a small first operand: a1 ≡ a and
-    # c1 ≡ c (mod m).
+    # leave v = a1 with gcd(a', c') != m'.  A wrong m' can leave no v to
+    # find (m' not dividing a1, say), so on a miss at v = 0 the search stops
+    # unless m' is gcd(a, c, m).  That gcd is gcd(gcd(a1, c1), m), on a
+    # small first operand: a1 ≡ a and c1 ≡ c (mod m).
     a_p = a1
     mmp = m * m_p
     for v in range(a1 + 1):
@@ -447,20 +469,20 @@ def _row(
         if g == m_p or (v == 0 and m_p != math.gcd(g, m)):
             break
 
-    failed = _row_checks(
-        a, b, c, d, m, m_p, far, x_p, y_p, a0, c0, u, a1, c1, v, a_p, c_p
-    )
-    if failed:
-        # Raised, so the row is never cached.
-        raise InternalInvariantError(
-            f"row invariants violated: {failed}; "
-            f"(a,b,c,d,m,k mod m')=({a},{b},{c},{d},{m},{k_res})"
-        )
+    # The guard, the one test an untraced solve's row meets, before the
+    # inverse, which needs gcd(a', c') = m': a search that ran out leaves
+    # another gcd.  When gcd(a', c') = m', gcd(a, c, m) = gcd(a', c', m) =
+    # gcd(m', m), since a' ≡ a and c' ≡ c (mod m), so m' is right exactly
+    # when it divides m.  A row that fails either is named by the row checks
+    # (gcd_final or m_prime among them) and is not cached.
+    steps = (a0, c0, u, a1, c1, v, a_p, c_p)
+    if g != m_p or m % m_p:
+        _check_row(a, b, c, d, m, m_p, k_res, far, x_p, y_p, steps)
     big_a, big_c = a_p // m_p, c_p // m_p
     return (
         (x1, y1, z1),
         (x_p, y_p),
-        (a0, c0, u, a1, c1, v, a_p, c_p),
+        steps,
         (big_a, big_c, pow(big_a, -1, big_c)),  # the v-step made them coprime
     )
 
@@ -514,11 +536,11 @@ def _solve(
     # back.  plan is _plan(a, b, c, d, m) or _plan_as_given(a, b, c, d, m),
     # read by the caller, so a caller with many targets of one template
     # reads it once.  Only a traced solve computes the unit solve scaled by
-    # k and its windows' quotients, builds the trace and runs the target
-    # checks.  An Instance is built only for a returned trace or an error
-    # message: of the caller's values for the delta^2 and certificate
-    # checks, and of the instance the pipeline ran on for the trace and the
-    # target checks.
+    # k and its windows' quotients, runs the target and row checks and
+    # builds the trace.  An Instance is built only for a returned trace or
+    # an error message: of the caller's values for the delta^2 and
+    # certificate checks, and of the instance the pipeline ran on for the
+    # trace and the checks.
     delta, dm, base, ra, rb, rc, rd, rm, m_p, far_from = plan
     if (N - base) % dm != 0:
         return None
@@ -542,8 +564,10 @@ def _solve(
     r, s = _least_r_lift(big_a, big_c, inv, ell)
     trace = None
     if traced:
-        # _row checked the row half; the target half runs here, on the
-        # values the trace holds, before the trace is built.
+        # Both halves run here, on the values the trace holds, before the
+        # trace is built: the target half, then the row half, on the row
+        # read, fresh or cached.  A change to a cached row that both halves
+        # see is named by the target half.
         x, y, z = k * unit[0], k * unit[1], k * unit[2]
         q_x, q_y = (x - x_p) // m_p, (y - y_p) // m_p
         failed = _target_checks(
@@ -555,6 +579,9 @@ def _solve(
                 f"target invariants violated: {failed}; "
                 f"{Instance(ra, rb, rc, rd, rm, rN)!r}"
             )
+        _check_row(
+            ra, rb, rc, rd, rm, m_p, k % m_p, rN >= far_from, x_p, y_p, steps
+        )
         trace = WitnessTrace(
             Instance(ra, rb, rc, rd, rm, rN),
             m_p, k, x, y, z, x_p, y_p, q_x, q_y, *steps, ell, r, s,
@@ -609,10 +636,12 @@ def solve_dilated(inst: Instance) -> Optional[tuple[Witness, int]]:
     templates, and the pipeline up to the lift once per (template,
     k mod m', y' window) row, kept for the last 64 rows.  A target of a
     cached template and row then pays the residue test, the lift and one
-    certificate check.  No trace is built, so the 8 target checks do not
-    run: the certificate check is what makes the answer right.  Only when
-    it fails is the target solved again, traced, so that the error names
-    the broken step.
+    certificate check.  No trace is built, so none of the 23 proof-step
+    checks runs, not even on a row this solve builds: the certificate check
+    is what makes the answer right.  Only when it fails is the target solved
+    again, traced, so that the error names the broken step.  A row that
+    fails a check is cached like any other; solve_class on the same
+    instance names the failure.
     """
     a, b, c, d, m = inst.a, inst.b, inst.c, inst.d, inst.m
     got = _solve(a, b, c, d, m, inst.N, _plan(a, b, c, d, m), False)

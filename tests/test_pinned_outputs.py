@@ -133,6 +133,25 @@ def test_large_moduli_outputs_pinned():
     assert _digest(rows) == (600, LARGE_MODULI_DIGEST)
 
 
+def test_untraced_first_solves_of_large_moduli_agree_with_traced():
+    # Each instance solved untraced on a row it builds, which runs no row
+    # check, then traced on the row that solve cached: the trace, row half
+    # included, must pass validate_trace, and its (w, delta) must be the
+    # untraced solve's.
+    m_prime_above_1 = 0
+    witness._row.cache_clear()
+    for inst in _large_moduli_instances():
+        info = witness._row.cache_info()
+        untraced = _solve(inst, False)
+        w, delta, trace = _solve(inst, True)
+        after = witness._row.cache_info()
+        assert (after.misses, after.hits) == (info.misses + 1, info.hits + 1), inst
+        witness.validate_trace(trace)
+        assert untraced == (w, delta, None), inst
+        m_prime_above_1 += trace.m_prime > 1
+    assert m_prime_above_1 == 338
+
+
 def test_m_prime_1_outputs_pinned():
     # Only rows with m' > 1 read b and d past their residues mod m', so the
     # m' = 1 outputs stay as they were when the unit solve moved to residues.

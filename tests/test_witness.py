@@ -391,13 +391,20 @@ def test_row_and_target_checks_partition_the_trace_checks():
         assert source.count(f'"{name}"') == 1, name
 
 
-def test_failed_row_check_raises_and_is_not_cached(monkeypatch):
+def test_failed_row_check_is_named_by_a_traced_solve(monkeypatch):
+    # An untraced solve runs no row check, so it caches a row whose check
+    # fails and answers on its certificate; a traced solve on that row names
+    # the failure.
     real = witness._row_checks
     monkeypatch.setattr(witness, "_row_checks", lambda *args: real(*args) + ["u_gcd"])
     witness._row.cache_clear()
+    inst = Instance(3, 5, 2, 2, 19, 152)
+    assert verify_witness(inst, solve_dilated(inst)[0])
+    assert witness._row.cache_info().currsize == 1
     with pytest.raises(InternalInvariantError, match="'u_gcd'"):
-        solve_class(Instance(3, 5, 2, 2, 19, 152))
-    assert witness._row.cache_info().currsize == 0
+        solve_class(inst)
+    info = witness._row.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def _off_window_lift(monkeypatch):
@@ -617,7 +624,18 @@ def test_untraced_solves_run_the_target_checks(monkeypatch, name):
     )
     with monkeypatch.context() as patch:
         passed = _certified_witnesses(patch)
-        _UNTRACED_SOLVES[name](inst)
+        if name == "solve_progression":
+            # d' < d, but from an r that is not the least: no
+            # below-threshold-failure is answered on it
+            with pytest.raises(InternalInvariantError) as err:
+                _UNTRACED_SOLVES[name](inst)
+            assert str(err.value) == (
+                "lift with d' < d does not take the least r: "
+                "Witness(a_prime=3, b_prime=62, c_prime=2, d_prime=-17) "
+                "for Instance(a=3, b=5, c=2, d=2, m=19, N=152)"
+            )
+        else:
+            _UNTRACED_SOLVES[name](inst)
     [(checked, w)] = passed
     assert checked == inst and verify_witness(inst, w)
     _sum_broken_lift(monkeypatch)
@@ -650,6 +668,62 @@ def test_traced_solves_return_a_valid_trace(inst):
     assert isinstance(trace, WitnessTrace)
     validate_trace(trace)
     assert _solve(inst, False) == (w, delta, None)
+
+
+# One m' = 1 row and one m' > 1 row: (3, 5, 2, 2) mod 19 at N = 152, and
+# (4, 2, 4, 3) mod 4 at N = 24, where m' = 4 and k mod m' = 1.
+_COLD_ROWS = {
+    Instance(3, 5, 2, 2, 19, 152): "(3,5,2,2,19,0)",
+    Instance(4, 2, 4, 3, 4, 24): "(4,2,4,3,4,1)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNTRACED_SOLVES))
+def test_untraced_cold_solves_run_no_row_check(monkeypatch, name):
+    # An untraced solve that builds a row runs no row check: it answers on
+    # its certificate, and the row is cached.  A traced solve runs the row
+    # checks once, on a cached row or a fresh one, and names a failure on
+    # the cached row that an untraced solve does not.
+    real, calls = witness._row_checks, []
+
+    def no_check(*args):
+        raise AssertionError("_row_checks called")
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    def failing(*args):
+        return counted(*args) + ["u_gcd"]
+
+    for inst, key in _COLD_ROWS.items():
+        a, b, c, d, m = dataclasses.astuple(inst)[:5]
+        assert witness._plan(a, b, c, d, m)[8] == (1 if m == 19 else 4)
+        witness._row.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(witness, "_row_checks", no_check)
+            passed = _certified_witnesses(patch)
+            _UNTRACED_SOLVES[name](inst)
+        [(checked, w)] = passed
+        assert checked == inst and verify_witness(inst, w)
+        assert witness._row.cache_info().currsize == 1
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(witness, "_row_checks", failing)
+            with pytest.raises(InternalInvariantError) as err:
+                solve_class(inst)
+            assert str(err.value) == (
+                f"row invariants violated: ['u_gcd']; (a,b,c,d,m,k mod m')={key}"
+            )
+            assert verify_witness(inst, solve_dilated(inst)[0])
+        assert len(calls) == 1
+        info = witness._row.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+        witness._row.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(witness, "_row_checks", counted)
+            solve_class(inst)
+        assert len(calls) == 2
 
 
 def test_traced_and_untraced_solves_agree_on_the_m_le_6_grid():
