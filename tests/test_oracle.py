@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import weakref
 from typing import Optional, Sequence
 
 import pytest
@@ -191,6 +192,45 @@ def test_class_table_matches_set_reference():
                 assert got == want, (a, b, c, d, m, box, pair_box, n_target, order)
                 queries += 1
     assert queries == 68_100
+
+
+def test_first_probes_agree_with_first_pair():
+    # byte s of _first_probes is nonzero exactly when _first_pair answers
+    # (order[0], order[0]) for the target n0 + s*step, in the centered and
+    # the ascending order, for steps m and 2m and windows whose probe bytes
+    # start before the table, inside it and past its end, one of them
+    # running across the whole table; a window off the table's residue
+    # (there is none at m = 1) reads all zeros
+    oracle = sumprod.oracle
+    queries, hits = 0, 0
+    for a, b, c, d, m, box, pair_box in _class_table_cases():
+        low, buf = table = oracle._class_products(c, d, m, box)
+        size = len(buf)
+        ascending = range(pair_box.lo, pair_box.hi + 1)
+        for order, stride in itertools.product(
+            (oracle._centered(pair_box), ascending), (1, 2)
+        ):
+            f = order[0]
+            windows = [
+                (-7 * stride - 1, 3),
+                (-3 * stride, size // stride + 7),
+                (size // 2 + 1, 5),
+                (size - 2, 6),
+                (size + 1, 4),
+            ]
+            for (start, count), off in itertools.product(windows, range(min(m, 2))):
+                # at off = 0 the first target's probe reads byte `start`
+                n0 = low + a * b + m * (start + f * b + (a + f * m) * f) + off
+                got = oracle._first_probes(a, b, m, n0, stride * m, count, order, table)
+                assert len(got) == count
+                for s, byte in enumerate(got):
+                    n_target = n0 + s * stride * m
+                    pair = oracle._first_pair(a, b, m, n_target, pair_box, order, table)
+                    case = (a, b, c, d, m, box, pair_box, n_target, order)
+                    assert bool(byte) == (pair == (f, f)), case
+                    hits += bool(byte)
+                    queries += 1
+    assert (queries, hits) == (198_284, 24_432)
 
 
 def test_progression_oracle_examples():
@@ -403,30 +443,44 @@ def test_grid_builds_one_table_per_m_c_d(monkeypatch):
 
 
 def test_grid_scans_each_m_c_d_group_over_one_box(monkeypatch):
-    # every (a, b) of a (m, c, d) group is scanned over the box of the
-    # group's far target, (a, b) = (m, m) at +k_window, in the one order
-    # _centered builds for that group: 14 orders for (3, 10), not 98
+    # every (a, b) of a (m, c, d) group has its targets' first probes read,
+    # and the targets they miss scanned, over the box of the group's far
+    # target, (a, b) = (m, m) at +k_window, in the one order _centered
+    # builds for that group and against its one table: 14 orders for
+    # (3, 10), not 98; _first_pair runs once per probe byte that reads zero
     k_window = 10
-    group, scans, orders = [], {}, []
+    group, probed, scans, orders = [], {}, {}, []
+    zeros, scanned = [0], [0]
     build = sumprod.oracle._class_products
+    probe = sumprod.oracle._first_probes
     scan = sumprod.oracle._first_pair
     center = sumprod.oracle._centered
 
     def building(c, d, m, box):
-        group[:] = [(m, c, d)]
-        return build(c, d, m, box)
+        table = build(c, d, m, box)
+        group[:] = [(m, c, d), table]
+        return table
 
     def centering(box):
         orders.append((box, center(box)))
         return orders[-1][1]
 
+    def probing(a, b, m, n0, step, count, order, table):
+        assert order is orders[-1][1] and table is group[1]
+        probed.setdefault(group[0], set()).add((a, b))
+        got = probe(a, b, m, n0, step, count, order, table)
+        zeros[0] += got.count(0)
+        return got
+
     def scanning(a, b, m, n_target, box, order, table):
-        assert order is orders[-1][1]
+        assert order is orders[-1][1] and table is group[1]
         scans.setdefault(group[0], set()).add((a, b, box))
+        scanned[0] += 1
         return scan(a, b, m, n_target, box, order, table)
 
     monkeypatch.setattr(sumprod.oracle, "_class_products", building)
     monkeypatch.setattr(sumprod.oracle, "_centered", centering)
+    monkeypatch.setattr(sumprod.oracle, "_first_probes", probing)
     monkeypatch.setattr(sumprod.oracle, "_first_pair", scanning)
     rep = grid_verify_theorem(m_max=3, k_window=k_window)
     assert rep.ok and rep.values == 98 * (2 * k_window + 1)
@@ -436,10 +490,34 @@ def test_grid_scans_each_m_c_d_group_over_one_box(monkeypatch):
             n_far = m * m + c * d + k_window * math.gcd(c, d, m) * m
             box = SearchBox.default_for(Instance(m, m, c, d, m, n_far))
             far_boxes.append(box)
-            pairs = itertools.product(range(1, m + 1), repeat=2)
-            assert scans.pop((m, c, d)) == {(a, b, box) for a, b in pairs}
-    assert not scans
+            pairs = set(itertools.product(range(1, m + 1), repeat=2))
+            assert probed.pop((m, c, d)) == pairs
+            assert scans.pop((m, c, d), set()) <= {(a, b, box) for a, b in pairs}
+    assert not probed and not scans
     assert [box for box, _ in orders] == far_boxes and len(far_boxes) == 14
+    assert scanned[0] == zeros[0] > 0
+
+
+def test_grid_never_holds_two_class_tables(monkeypatch):
+    # each group's table is dead before the next group's is built, and the
+    # last once the sweep returns: the sweep's peak memory holds one table
+    class Table(bytearray):
+        pass
+
+    refs = []
+    build = sumprod.oracle._class_products
+
+    def building(c, d, m, box):
+        assert all(ref() is None for ref in refs), (m, c, d)
+        low, buf = build(c, d, m, box)
+        table = Table(buf)
+        refs.append(weakref.ref(table))
+        return low, table
+
+    monkeypatch.setattr(sumprod.oracle, "_class_products", building)
+    rep = grid_verify_theorem(m_max=3, k_window=10)
+    assert rep.ok and len(refs) == 14
+    assert refs[-1]() is None
 
 
 def test_grid_m1_trivial():
