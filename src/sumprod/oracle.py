@@ -27,6 +27,7 @@ from .witness import (
     Witness,
     _certificate_ok,
     _plan,
+    _show,
     _solve,
 )
 
@@ -201,7 +202,9 @@ def oracle_member_class(
         l, r = divmod(rest - x * d, x * m) if x else (box.lo, rest)
         if r == 0 and box.lo <= l <= box.hi:
             return True, (i, j, k, l)
-    raise InternalInvariantError(f"table hit with no (k, l) in {box}: {inst!r}")
+    raise InternalInvariantError(
+        f"table hit with no (k, l) in {_show(box)}: {_show(inst)}"
+    )
 
 
 def _ap_rows(

@@ -20,6 +20,7 @@ from .witness import (
     Witness,
     _component_box,
     _plan_as_given,
+    _show,
     _solve,
 )
 from . import oracle as _oracle
@@ -153,7 +154,7 @@ def solve_progression(inst: Instance) -> ProgressionResult:
     # leaves open.
     if w.a_prime < a or w.b_prime < b or w.c_prime < c:
         raise InternalInvariantError(
-            f"one-sided witness below its template: {w!r} for {inst!r}"
+            f"one-sided witness below its template: {_show(w)} for {_show(inst)}"
         )
     if w.d_prime < d:
         # No one-sided lift exists for this (a', c') only if the lift took
@@ -162,11 +163,13 @@ def solve_progression(inst: Instance) -> ProgressionResult:
         # is checked here, on the witness, before d' < d is believed.
         if w.b_prime - b >= m * (w.c_prime // plan[8]):
             raise InternalInvariantError(
-                f"lift with d' < d does not take the least r: {w!r} for {inst!r}"
+                f"lift with d' < d does not take the least r: {_show(w)} "
+                f"for {_show(inst)}"
             )
         if N >= report.N0:
             raise InternalInvariantError(
-                f"one-sided lift must succeed at N >= N0: {inst!r}, N0={report.N0}"
+                f"one-sided lift must succeed at N >= N0: {_show(inst)}, "
+                f"N0={_show(report.N0)}"
             )
         return ProgressionResult(BELOW_THRESHOLD_FAILURE, None, report)
     return ProgressionResult(WITNESS, w, report)

@@ -27,20 +27,24 @@ Every step before the lift, and that inverse, depends on the target only
 through k mod m' and the window, so it is built once per (template,
 k mod m', window) row and cached.
 Every trace field has an invariant that is a theorem, and each is written
-once.  All 23, the row's 15 and the 8 that involve the target, are checked
-on traced solves and by validate_trace; the row's 15 also run when _row's
-one guard fires, before the lift's inverse, on a gcd(a', c') that is not m'
-or an m' that does not divide m (a search that ran out, or a wrong m').
-An untraced solve runs none of them and rests on the certificate check on
-the caller's values, which is what makes its answer right; when that check
+once.  validate_trace checks all 23, the row's 15 and the 8 that involve
+the target, and reports every failed one in one text.  It is the one check
+a traced solve runs: a traced solve builds its trace and calls it, so a
+broken step reads the same from solve_class, the CLI's witness --trace and
+an untraced solve's retry.  The row's 15 also run when _row's one guard
+fires, before the lift's inverse, on a gcd(a', c') that is not m' or an m'
+that does not divide m (a search that ran out, or a wrong m').  An
+untraced solve runs none of them and rests on the certificate check on the
+caller's values, which is what makes its answer right; when that check
 fails, it solves again, traced, so that the broken step is named.  So a row
 that fails a check can be cached, and only a traced solve or a failed
 certificate reads it by step.  A violation is a bug, never an input
-condition, and raises InternalInvariantError naming the check.
+condition, and raises InternalInvariantError naming the check; its text
+shows an int too long for str() as its bit length.
 
 Every solve, of the pair theorem and of the one-sided one, is one function,
 _solve, on the caller's plain ints: the residue test mod delta*m, N/delta^2,
-k, the row, the lift (and, traced, the trace and its 23 checks), one
+k, the row, the lift (and, traced, the trace and validate_trace), one
 witness scaled by delta, and one certificate check against the caller's
 values.  It runs on a plan, what depends on the template alone (delta and
 delta*m, ab + cd, the template the pipeline runs on and its modulus, m', and
@@ -63,7 +67,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import index
 from typing import Optional
 
@@ -85,6 +89,21 @@ __all__ = [
 class InternalInvariantError(RuntimeError):
     """A proof-level invariant failed at runtime.  Always a bug in this
     package (or a falsified theorem), never a caller error."""
+
+
+def _show(x: object) -> str:
+    # repr(x) for an InternalInvariantError text.  str() of an int past
+    # sys.get_int_max_str_digits() raises ValueError, which would replace
+    # the error being reported, so such an int shows as its bit length, in
+    # x itself or in a dataclass field of it, at any depth.
+    try:
+        return repr(x)
+    except ValueError:
+        pass
+    if isinstance(x, int):
+        return f"<{x.bit_length()}-bit int>"
+    shown = (f"{f.name}={_show(getattr(x, f.name))}" for f in fields(x))
+    return f"{type(x).__qualname__}({', '.join(shown)})"
 
 
 @dataclass(frozen=True)
@@ -273,20 +292,6 @@ def _row_checks(
     return failed
 
 
-def _check_row(
-    a: int, b: int, c: int, d: int, m: int, mp: int, k_res: int, far: bool,
-    x_p: int, y_p: int, steps: tuple[int, ...],
-) -> None:
-    # Raise InternalInvariantError naming the row's failed invariants, if
-    # any, with the row's key: on a traced solve, and on _row's guard.
-    failed = _row_checks(a, b, c, d, m, mp, far, x_p, y_p, *steps)
-    if failed:
-        raise InternalInvariantError(
-            f"row invariants violated: {failed}; "
-            f"(a,b,c,d,m,k mod m')=({a},{b},{c},{d},{m},{k_res})"
-        )
-
-
 def _target_checks(
     a: int, b: int, c: int, d: int, m: int, N: int, mp: int,
     k: int, x: int, y: int, z: int, x_p: int, y_p: int, q_x: int, q_y: int,
@@ -321,12 +326,12 @@ def _target_checks(
 def validate_trace(trace: WitnessTrace) -> None:
     """Check every trace invariant; raise InternalInvariantError on failure.
 
-    These are the intermediate claims of the existence proof.  A traced
-    solve checks both halves before it builds its trace, the target half
-    first; an untraced solve builds no trace, checks neither, and rests on
-    its certificate check, so a row it built and cached is unchecked.  This
-    runs both halves on any trace, one whose row an untraced solve cached
-    included.
+    These are the intermediate claims of the existence proof: the row's
+    15, then the 8 that involve the target, all reported in one text.  A
+    traced solve runs this on the trace it builds, and no other check; an
+    untraced solve builds no trace, runs none, and rests on its certificate
+    check, so a row it built and cached is unchecked.  This checks any
+    trace, one whose row an untraced solve cached included.
     """
     t = trace
     i = t.instance
@@ -340,7 +345,7 @@ def validate_trace(trace: WitnessTrace) -> None:
     )
     if failed:
         raise InternalInvariantError(
-            f"trace invariants violated: {failed}; trace={t!r}"
+            f"trace invariants violated: {failed}; trace={_show(t)}"
         )
 
 
@@ -400,9 +405,9 @@ def _row(
     # order: the unit solution, the windows, the u- and v-steps, and the
     # lift's data (a'/m', c'/m', inverse of a'/m' mod c'/m').  m_p is the
     # plan's m' = gcd(a, c, m).  No row check runs here unless the guard
-    # after the v-step fires: a traced solve checks the row it reads, and an
-    # untraced one rests on its certificate, so a row that fails a check
-    # can be cached.
+    # after the v-step fires: a traced solve checks the row it reads through
+    # validate_trace, and an untraced one rests on its certificate, so a row
+    # that fails a check can be cached.
     # At m' = 1 every congruence mod m' holds, so the steps before the v-step
     # have their closed form: the unit solution (0, 0, 1), x' = 0, u = 0 and
     # y' the low end of its window.  Otherwise only x and y mod m' reach the
@@ -425,7 +430,8 @@ def _row(
         g, s2 = _bezout(math.gcd(b_r, d_r), m_p)[:2]
         if g != 1:
             raise InternalInvariantError(
-                f"gcd(b, d, m') = {g}, not 1: (a,b,c,d,m)=({a},{b},{c},{d},{m})"
+                f"gcd(b, d, m') = {_show(g)}, not 1: "
+                f"(a,b,c,d,m)=({','.join(map(_show, (a, b, c, d, m)))})"
             )
         s1, t1 = _bezout(b_r, d_r)[1:] if s2 else (0, 0)
         x1, y1 = s1 * s2, t1 * s2
@@ -473,11 +479,16 @@ def _row(
     # inverse, which needs gcd(a', c') = m': a search that ran out leaves
     # another gcd.  When gcd(a', c') = m', gcd(a, c, m) = gcd(a', c', m) =
     # gcd(m', m), since a' ≡ a and c' ≡ c (mod m), so m' is right exactly
-    # when it divides m.  A row that fails either is named by the row checks
-    # (gcd_final or m_prime among them) and is not cached.
+    # when it divides m.  A row that fails either fails gcd_final or
+    # m_prime, so the names the guard raises are never empty; its text gives
+    # the row's key, since no trace exists yet, and the row is not cached.
     steps = (a0, c0, u, a1, c1, v, a_p, c_p)
     if g != m_p or m % m_p:
-        _check_row(a, b, c, d, m, m_p, k_res, far, x_p, y_p, steps)
+        raise InternalInvariantError(
+            f"row invariants violated: "
+            f"{_row_checks(a, b, c, d, m, m_p, far, x_p, y_p, *steps)}; "
+            f"(a,b,c,d,m,k mod m')=({','.join(map(_show, (a, b, c, d, m, k_res)))})"
+        )
     big_a, big_c = a_p // m_p, c_p // m_p
     return (
         (x1, y1, z1),
@@ -536,11 +547,10 @@ def _solve(
     # back.  plan is _plan(a, b, c, d, m) or _plan_as_given(a, b, c, d, m),
     # read by the caller, so a caller with many targets of one template
     # reads it once.  Only a traced solve computes the unit solve scaled by
-    # k and its windows' quotients, runs the target and row checks and
-    # builds the trace.  An Instance is built only for a returned trace or
-    # an error message: of the caller's values for the delta^2 and
-    # certificate checks, and of the instance the pipeline ran on for the
-    # trace and the checks.
+    # k and its windows' quotients, builds the trace and runs validate_trace
+    # on it.  An Instance is built only for a returned trace or an error
+    # message: of the caller's values for the delta^2 and certificate
+    # checks, and of the instance the pipeline ran on for the trace.
     delta, dm, base, ra, rb, rc, rd, rm, m_p, far_from = plan
     if (N - base) % dm != 0:
         return None
@@ -550,7 +560,8 @@ def _solve(
         # is forced.
         if N % (delta * delta) != 0:
             raise InternalInvariantError(
-                f"N not divisible by delta^2 for {Instance(a, b, c, d, m, N)!r}"
+                "N not divisible by delta^2 for "
+                f"{_show(Instance(a, b, c, d, m, N))}"
             )
         rN //= delta * delta
     k = (rN - (ra * rb + rc * rd)) // rm
@@ -564,28 +575,14 @@ def _solve(
     r, s = _least_r_lift(big_a, big_c, inv, ell)
     trace = None
     if traced:
-        # Both halves run here, on the values the trace holds, before the
-        # trace is built: the target half, then the row half, on the row
-        # read, fresh or cached.  A change to a cached row that both halves
-        # see is named by the target half.
+        # The trace holds the values the pipeline used, the row's as read,
+        # fresh or cached, and validate_trace runs all 23 checks on it.
         x, y, z = k * unit[0], k * unit[1], k * unit[2]
-        q_x, q_y = (x - x_p) // m_p, (y - y_p) // m_p
-        failed = _target_checks(
-            ra, rb, rc, rd, rm, rN, m_p, k, x, y, z, x_p, y_p, q_x, q_y,
-            a_p, c_p, ell, r, s,
-        )
-        if failed:
-            raise InternalInvariantError(
-                f"target invariants violated: {failed}; "
-                f"{Instance(ra, rb, rc, rd, rm, rN)!r}"
-            )
-        _check_row(
-            ra, rb, rc, rd, rm, m_p, k % m_p, rN >= far_from, x_p, y_p, steps
-        )
         trace = WitnessTrace(
-            Instance(ra, rb, rc, rd, rm, rN),
-            m_p, k, x, y, z, x_p, y_p, q_x, q_y, *steps, ell, r, s,
+            Instance(ra, rb, rc, rd, rm, rN), m_p, k, x, y, z, x_p, y_p,
+            (x - x_p) // m_p, (y - y_p) // m_p, *steps, ell, r, s,
         )
+        validate_trace(trace)
     w = Witness(
         delta * a_p, delta * (rb + rm * r), delta * c_p, delta * (rd + rm * s)
     )
@@ -594,11 +591,12 @@ def _solve(
     # reduced solve.
     if not _certificate_ok(a, b, c, d, m, N, w):
         if not traced:
-            # Solve again, traced, so that a target check names the broken
+            # Solve again, traced, so that validate_trace names the broken
             # step; it raises, with the text below if every check passes.
             _solve(a, b, c, d, m, N, plan, True)
         raise InternalInvariantError(
-            f"witness failed verification: {w!r} for {Instance(a, b, c, d, m, N)!r}"
+            f"witness failed verification: {_show(w)} "
+            f"for {_show(Instance(a, b, c, d, m, N))}"
         )
     return w, delta, trace
 
@@ -639,9 +637,9 @@ def solve_dilated(inst: Instance) -> Optional[tuple[Witness, int]]:
     certificate check.  No trace is built, so none of the 23 proof-step
     checks runs, not even on a row this solve builds: the certificate check
     is what makes the answer right.  Only when it fails is the target solved
-    again, traced, so that the error names the broken step.  A row that
-    fails a check is cached like any other; solve_class on the same
-    instance names the failure.
+    again, traced, so that validate_trace names the broken step, in the
+    text solve_class would give.  A row that fails a check is cached like
+    any other; solve_class on the same instance names the failure.
     """
     a, b, c, d, m = inst.a, inst.b, inst.c, inst.d, inst.m
     got = _solve(a, b, c, d, m, inst.N, _plan(a, b, c, d, m), False)
@@ -676,5 +674,5 @@ def subgroup_witness(
         t=t,
     )
     if sw.evaluate(a, b, c, d, m) != t:
-        raise InternalInvariantError(f"subgroup witness mis-evaluates: {sw!r}")
+        raise InternalInvariantError(f"subgroup witness mis-evaluates: {_show(sw)}")
     return sw

@@ -5,6 +5,7 @@ import inspect
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -431,8 +432,9 @@ def test_target_checks_run_on_a_cached_row(monkeypatch):
 
 
 def test_invariant_error_texts_pinned(monkeypatch):
-    # the row, target and trace texts of InternalInvariantError, byte for
-    # byte: the failed names in evaluation order, then the context
+    # the trace text of InternalInvariantError, byte for byte, as
+    # validate_trace raises it on a trace and on a traced solve: the failed
+    # names in evaluation order, then the trace
     _, trace = solve_class(Instance(4, 2, 4, 3, 4, 8))
     with pytest.raises(InternalInvariantError) as err:
         validate_trace(dataclasses.replace(trace, **_TAMPERS["m_prime"](trace)))
@@ -451,8 +453,11 @@ def test_invariant_error_texts_pinned(monkeypatch):
         with pytest.raises(InternalInvariantError) as err:
             solve_class(inst)
     assert str(err.value) == (
-        "target invariants violated: ['r_window']; "
-        "Instance(a=3, b=5, c=2, d=2, m=19, N=152)"
+        "trace invariants violated: ['r_window']; "
+        "trace=WitnessTrace(instance=Instance("
+        "a=3, b=5, c=2, d=2, m=19, N=152), m_prime=1, k=7, x=0, y=0, z=7, "
+        "x_prime=0, y_prime=0, q_x=0, q_y=0, a0=3, c0=2, u=0, a1=3, c1=2, "
+        "v=0, a_prime=3, c_prime=2, ell=7, r=3, s=-1)"
     )
 
     # an empty box puts every (a', c') above it
@@ -461,8 +466,11 @@ def test_invariant_error_texts_pinned(monkeypatch):
     with pytest.raises(InternalInvariantError) as err:
         solve_class(inst)
     assert str(err.value) == (
-        "row invariants violated: ['ineq2_a', 'ineq2_c']; "
-        "(a,b,c,d,m,k mod m')=(3,5,2,2,19,0)"
+        "trace invariants violated: ['ineq2_a', 'ineq2_c']; "
+        "trace=WitnessTrace(instance=Instance("
+        "a=3, b=5, c=2, d=2, m=19, N=152), m_prime=1, k=7, x=0, y=0, z=7, "
+        "x_prime=0, y_prime=0, q_x=0, q_y=0, a0=3, c0=2, u=0, a1=3, c1=2, "
+        "v=0, a_prime=3, c_prime=2, ell=7, r=1, s=2)"
     )
 
 
@@ -488,6 +496,66 @@ def test_solve_error_texts_pinned(monkeypatch):
         "Witness(a_prime=6, b_prime=48, c_prime=4, d_prime=80) "
         "for Instance(a=6, b=10, c=4, d=4, m=38, N=608)"
     )
+
+
+def test_invariant_texts_show_ints_past_the_str_digit_limit(monkeypatch):
+    # str() of an int past the interpreter's int-to-str limit raises
+    # ValueError; an InternalInvariantError text shows such an int as its
+    # bit length, and every other value as its repr.  On (3, 5, 2, 2) mod
+    # M = 10**2500 + 7, N has 5001 digits and M 2501.
+    big_m = 10**2500 + 7
+    inst = Instance(3, 5, 2, 2, big_m, 19 + big_m * 10**2500)
+    n_bits = f"N=<{inst.N.bit_length()}-bit int>"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        _, trace = solve_class(inst)
+        broken = dataclasses.replace(trace, s=trace.s + 1)
+        with pytest.raises(InternalInvariantError) as err:
+            validate_trace(broken)
+        text = str(err.value)
+        assert text.startswith(
+            "trace invariants violated: ['lift']; trace=WitnessTrace("
+            f"instance=Instance(a=3, b=5, c=2, d=2, m={big_m!r}, {n_bits}), "
+        )
+        assert text.endswith(f", r={trace.r}, s={trace.s + 1})")
+
+        # _row's guard, handed m' = 2 for the template's m' = 1
+        with pytest.raises(InternalInvariantError) as err:
+            witness._row(3, 5, 2, 2, inst.N, 2, 0, False)
+        assert str(err.value).startswith("row invariants violated: ['m_prime'")
+        assert str(err.value).endswith(
+            f"(a,b,c,d,m,k mod m')=(3,5,2,2,<{inst.N.bit_length()}-bit int>,0)"
+        )
+
+        with monkeypatch.context() as patch:
+            patch.setattr(witness, "_certificate_ok", lambda *args: False)
+            with pytest.raises(InternalInvariantError) as err:
+                solve_dilated(inst)
+        b_p, d_p = 5 + big_m * trace.r, 2 + big_m * trace.s
+        assert str(err.value) == (
+            f"witness failed verification: Witness(a_prime=3, b_prime={b_p!r}, "
+            f"c_prime=2, d_prime=<{d_p.bit_length()}-bit int>) "
+            f"for Instance(a=3, b=5, c=2, d=2, m={big_m!r}, {n_bits})"
+        )
+        assert witness._show(-inst.N) == f"<{inst.N.bit_length()}-bit int>"
+        box = SearchBox(0, inst.N)
+        assert witness._show(box) == (
+            f"SearchBox(lo=0, hi=<{inst.N.bit_length()}-bit int>)"
+        )
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # under the limit, every text is the repr it was
+    sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(InternalInvariantError) as err:
+            validate_trace(broken)
+        assert str(err.value) == (
+            f"trace invariants violated: ['lift']; trace={broken!r}"
+        )
+        assert witness._show(box) == repr(box)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _search_tries_only(monkeypatch, n, tried):
@@ -619,8 +687,11 @@ def test_untraced_solves_run_the_target_checks(monkeypatch, name):
     with pytest.raises(InternalInvariantError) as err:
         solve_class(inst)
     assert str(err.value) == (
-        "target invariants violated: ['r_window']; "
-        "Instance(a=3, b=5, c=2, d=2, m=19, N=152)"
+        "trace invariants violated: ['r_window']; "
+        "trace=WitnessTrace(instance=Instance("
+        "a=3, b=5, c=2, d=2, m=19, N=152), m_prime=1, k=7, x=0, y=0, z=7, "
+        "x_prime=0, y_prime=0, q_x=0, q_y=0, a0=3, c0=2, u=0, a1=3, c1=2, "
+        "v=0, a_prime=3, c_prime=2, ell=7, r=3, s=-1)"
     )
     with monkeypatch.context() as patch:
         passed = _certified_witnesses(patch)
@@ -642,8 +713,11 @@ def test_untraced_solves_run_the_target_checks(monkeypatch, name):
     with pytest.raises(InternalInvariantError) as err:
         _UNTRACED_SOLVES[name](inst)
     assert str(err.value) == (
-        "target invariants violated: ['lift', 'r_window']; "
-        "Instance(a=3, b=5, c=2, d=2, m=19, N=152)"
+        "trace invariants violated: ['lift', 'r_window']; "
+        "trace=WitnessTrace(instance=Instance("
+        "a=3, b=5, c=2, d=2, m=19, N=152), m_prime=1, k=7, x=0, y=0, z=7, "
+        "x_prime=0, y_prime=0, q_x=0, q_y=0, a0=3, c0=2, u=0, a1=3, c1=2, "
+        "v=0, a_prime=3, c_prime=2, ell=7, r=3, s=0)"
     )
     info = witness._row.cache_info()
     assert (info.hits, info.misses) == (5, 1)
@@ -671,10 +745,21 @@ def test_traced_solves_return_a_valid_trace(inst):
 
 
 # One m' = 1 row and one m' > 1 row: (3, 5, 2, 2) mod 19 at N = 152, and
-# (4, 2, 4, 3) mod 4 at N = 24, where m' = 4 and k mod m' = 1.
+# (4, 2, 4, 3) mod 4 at N = 24, where m' = 4 and k mod m' = 1; each with
+# its trace.
 _COLD_ROWS = {
-    Instance(3, 5, 2, 2, 19, 152): "(3,5,2,2,19,0)",
-    Instance(4, 2, 4, 3, 4, 24): "(4,2,4,3,4,1)",
+    Instance(3, 5, 2, 2, 19, 152): (
+        "WitnessTrace(instance=Instance("
+        "a=3, b=5, c=2, d=2, m=19, N=152), m_prime=1, k=7, x=0, y=0, z=7, "
+        "x_prime=0, y_prime=0, q_x=0, q_y=0, a0=3, c0=2, u=0, a1=3, c1=2, "
+        "v=0, a_prime=3, c_prime=2, ell=7, r=1, s=2)"
+    ),
+    Instance(4, 2, 4, 3, 4, 24): (
+        "WitnessTrace(instance=Instance("
+        "a=4, b=2, c=4, d=3, m=4, N=24), m_prime=4, k=1, x=-1, y=1, z=0, "
+        "x_prime=3, y_prime=5, q_x=-1, q_y=-1, a0=16, c0=24, u=1, a1=28, "
+        "c1=16, v=0, a_prime=28, c_prime=16, ell=-5, r=1, s=-3)"
+    ),
 }
 
 
@@ -696,7 +781,7 @@ def test_untraced_cold_solves_run_no_row_check(monkeypatch, name):
     def failing(*args):
         return counted(*args) + ["u_gcd"]
 
-    for inst, key in _COLD_ROWS.items():
+    for inst, trace in _COLD_ROWS.items():
         a, b, c, d, m = dataclasses.astuple(inst)[:5]
         assert witness._plan(a, b, c, d, m)[8] == (1 if m == 19 else 4)
         witness._row.cache_clear()
@@ -713,7 +798,7 @@ def test_untraced_cold_solves_run_no_row_check(monkeypatch, name):
             with pytest.raises(InternalInvariantError) as err:
                 solve_class(inst)
             assert str(err.value) == (
-                f"row invariants violated: ['u_gcd']; (a,b,c,d,m,k mod m')={key}"
+                f"trace invariants violated: ['u_gcd']; trace={trace}"
             )
             assert verify_witness(inst, solve_dilated(inst)[0])
         assert len(calls) == 1
@@ -802,20 +887,30 @@ def test_eq_A_fires_by_name_on_a_warm_plan(monkeypatch):
 
 # One change to _solve's inputs per target check, on the template
 # (4, 2, 4, 3, 4) at N = 8, where m' = 4: the target, one group of the row,
-# or the lift; and the checks it breaks.  A target off its residue class
-# also leaves a remainder that m*m' does not divide, and congruence_mm and
-# ell read the same remainder, so those three fail together.
+# or the lift; and the checks it breaks, row checks first, as
+# validate_trace names them.  A target off its residue class also leaves a
+# remainder that m*m' does not divide, and congruence_mm and ell read the
+# same remainder, so those three fail together.  A change to the windows or
+# to a' also breaks the row checks that read them.
 _A_PRIME_PLUS_1 = (
     "row",
     lambda u, w, st, lf: (u, w, st[:6] + (st[6] + 1, st[7]), lf),
-    ("congruence_mm", "ell", "lift"),
+    ("a_prime", "gcd_final", "congruence_mm", "ell", "lift"),
 )
 _TARGET_CHANGES = {
     "k": ("N", 9, ("k", "congruence_mm", "ell")),
     # z1 + 1 breaks eq_A alone: the windows do not read z
     "eq_A": ("row", lambda u, w, st, lf: (u[:2] + (u[2] + 1,), w, st, lf), ("eq_A",)),
-    "eq_B_x": ("row", lambda u, w, st, lf: (u, (w[0] + 1, w[1]), st, lf), ("eq_B_x",)),
-    "eq_B_y": ("row", lambda u, w, st, lf: (u, (w[0], w[1] + 1), st, lf), ("eq_B_y",)),
+    "eq_B_x": (
+        "row",
+        lambda u, w, st, lf: (u, (w[0] + 1, w[1]), st, lf),
+        ("x_prime_window", "a0", "eq_B_x"),
+    ),
+    "eq_B_y": (
+        "row",
+        lambda u, w, st, lf: (u, (w[0], w[1] + 1), st, lf),
+        ("y_prime_window", "c0", "eq_B_y"),
+    ),
     "congruence_mm": _A_PRIME_PLUS_1,
     "ell": _A_PRIME_PLUS_1,
     "lift": ("lift", lambda r, s, big_a, big_c: (r, s + 1), ("lift",)),
@@ -836,8 +931,8 @@ _CERTIFIED_CHANGES = ("eq_A", "eq_B_x", "eq_B_y", "r_window")
 
 @pytest.mark.parametrize("name", _TARGET_CHECKS)
 def test_both_forms_of_a_target_check_reject_its_change(monkeypatch, name):
-    # The two forms of a solve.  A traced _solve runs _target_checks before
-    # it builds its trace, and names exactly the checks the change breaks.
+    # The two forms of a solve.  A traced _solve runs validate_trace on its
+    # trace, and names exactly the checks the change breaks.
     # An untraced _solve rests on its certificate check: on a change that
     # breaks the certificate it solves again, traced, and raises the same
     # names; on one that leaves the certificate valid it returns that
@@ -860,15 +955,54 @@ def test_both_forms_of_a_target_check_reject_its_change(monkeypatch, name):
     assert name in broken
     with pytest.raises(InternalInvariantError) as err:
         witness._solve(a, b, c, d, m, n_target, plan, True)
-    assert f"target invariants violated: {list(broken)};" in str(err.value)
+    assert f"trace invariants violated: {list(broken)};" in str(err.value)
     if name in _CERTIFIED_CHANGES:
         w, _, _ = witness._solve(a, b, c, d, m, n_target, plan, False)
         assert verify_witness(Instance(a, b, c, d, m, n_target), w)
         _sum_broken_lift(monkeypatch)
-        broken = [check for check in _TARGET_CHECKS if check in broken + ("lift",)]
+        broken = [
+            check for check in _ROW_CHECKS + _TARGET_CHECKS
+            if check in broken + ("lift",)
+        ]
     with pytest.raises(InternalInvariantError) as err:
         witness._solve(a, b, c, d, m, n_target, plan, False)
-    assert f"target invariants violated: {list(broken)};" in str(err.value)
+    assert f"trace invariants violated: {list(broken)};" in str(err.value)
+
+
+def test_validate_trace_is_the_one_check_a_solve_runs(monkeypatch, capsys):
+    # Every traced solve checks its proof steps by one call of
+    # validate_trace on its trace: solve_class, the CLI's witness --trace,
+    # and an untraced solve's traced retry after a failed certificate.  A
+    # passing untraced solve, and the grid sweep, make none.
+    real, calls = witness.validate_trace, []
+
+    def counted(trace):
+        calls.append(trace)
+        return real(trace)
+
+    monkeypatch.setattr(witness, "validate_trace", counted)
+    insts = [Instance(3, 5, 2, 2, 19, 152), Instance(4, 2, 4, 3, 4, 24)]
+    for inst in insts:
+        _, trace = solve_class(inst)
+        assert calls == [trace]
+        calls.clear()
+        argv = ["witness", *map(str, dataclasses.astuple(inst))]
+        for extra in (["--trace"], ["--trace", "--json"]):
+            assert sumprod.cli.run(argv + extra) == 0
+            assert len(calls) == 1 and calls[0].instance == inst
+            calls.clear()
+        for name in sorted(_UNTRACED_SOLVES):
+            _UNTRACED_SOLVES[name](inst)
+        assert sumprod.cli.run(argv) == 0
+    capsys.readouterr()
+    assert sumprod.oracle.grid_verify_theorem(2, 3).discrepancies == []
+    assert calls == []
+    monkeypatch.setattr(witness, "_certificate_ok", lambda *args: False)
+    for name in sorted(_UNTRACED_SOLVES):
+        with pytest.raises(InternalInvariantError, match="^witness failed"):
+            _UNTRACED_SOLVES[name](insts[0])
+        assert len(calls) == 1 and calls[0].instance == insts[0], name
+        calls.clear()
 
 
 # ---------------------------------------------------------------- Instance
